@@ -84,6 +84,10 @@ def feuerbach_incidence_points(T, M, norm, tol=DEFAULT_TOL):
     division points L^M_i = M + s/d - (M - A_i)/d."""
     if is_circumcenter(norm, T, M, tol) is None:
         raise ValueError("M is not a circumcenter at tolerance")
+    return _incidence_points(T, M)
+
+
+def _incidence_points(T, M):
     M, s = _vertex_sum(T, M)
     d = T.dim
     facet_centroids = [face_centroid(T, [j for j in range(d + 1) if j != i])
@@ -150,11 +154,9 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
         if not result.found:
             raise ValueError("no circumcenter found at tolerance")
         M = result.center
-        R = result.radius
-    else:
-        R = is_circumcenter(norm, T, M, tol)
-        if R is None:
-            raise ValueError("M is not a circumcenter at tolerance")
+    R = is_circumcenter(norm, T, M, tol)
+    if R is None:
+        raise ValueError("M is not a circumcenter at tolerance")
     M = np.asarray(M, dtype=float)
     d = T.dim
     s = np.sum(T.vertices - M, axis=0)
@@ -179,7 +181,7 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
         t_F = (N_M - F_M) @ s / (s @ s)
         ratios["F_on_NM"] = abs(t_F / (1.0 / (d - 1)) - 1.0 / d)
 
-    facet_centroids, division_points = feuerbach_incidence_points(T, M, norm, tol)
+    facet_centroids, division_points = _incidence_points(T, M)  # M certified above
     return CentersReport(
         M=M, R=R, G=G, N_M=N_M, P_M=P_M, F_M=F_M,
         feuerbach_radius=R / d, euler_line=euler, collapsed=collapsed,

@@ -115,7 +115,7 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL, n_random_starts=None):
                             float(np.abs(dd - dd.mean()).max()), 1)
 
     if n_random_starts is None:
-        n_random_starts = max(8 + d - (d + 3), 0)  # multi-start budget 8+d total
+        n_random_starts = 5  # with the d+3 fixed starts: 8+d in total
     rng = np.random.default_rng(0)
     starts = [_euclidean_center(V), V.mean(axis=0)] + list(V)
     starts += [V.mean(axis=0) + rng.normal(size=d) * scale for _ in range(n_random_starts)]

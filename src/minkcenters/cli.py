@@ -68,12 +68,16 @@ def _parse_point(text):
         raise InstanceError(f"cannot parse point: {text!r}") from None
 
 
+def _diagnostics(inst):
+    tol = inst.tolerances
+    return {"tolerances": {"eps_geom": tol.eps_geom, "max_iters": tol.max_iters},
+            "seed": inst.seed}
+
+
 def _simplex_report(inst, assume_center):
     tol = inst.tolerances
     T = inst.simplex
-    diagnostics = {"tolerances": {"eps_geom": tol.eps_geom, "eps_opt": tol.eps_opt,
-                                  "max_iters": tol.max_iters},
-                   "seed": inst.seed}
+    diagnostics = _diagnostics(inst)
     if assume_center is not None:
         M = _parse_point(assume_center)
         if is_circumcenter(inst.norm, T, M, tol) is None:
@@ -119,11 +123,8 @@ def _polygon_report(inst):
         "circles": {k: {"center": c, "radius": r} for k, (c, r) in rep.circles.items()},
     }
     residuals = {k: {"ok": ok, "residual": r} for k, (ok, r) in checks.items()}
-    diagnostics = {"tolerances": {"eps_geom": tol.eps_geom, "eps_opt": tol.eps_opt,
-                                  "max_iters": tol.max_iters},
-                   "seed": inst.seed}
     return {"instance": inst.raw, "kind": "polygon", "report": body,
-            "residuals": residuals, "diagnostics": diagnostics}, EXIT_OK
+            "residuals": residuals, "diagnostics": _diagnostics(inst)}, EXIT_OK
 
 
 def cmd_centers(args):
@@ -182,10 +183,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_figure(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # InstanceError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

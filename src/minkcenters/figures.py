@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from .centers import full_report
-from .polygon import parallelepiped_lift, polygon_centers, subpolygon_family
+from .polygon import parallelepiped_lift, subpolygon_family
 
 __all__ = ["render_figure", "SHOW_MODES"]
 
@@ -88,8 +88,8 @@ def render_figure(instance, show="euler", width=600):
         rep = subpolygon_family(P)
         vertices = P.vertices
         M, R = P.M, P.R
-        G, F_M, N_M, P_M, C_M = polygon_centers(P)
-        centers = {"M": M, "G": G, "F_M": F_M, "N_M": N_M, "P_M": P_M, "C_M": C_M}
+        centers = {"M": M, "G": rep.G, "F_M": rep.F_M, "N_M": rep.N_M,
+                   "P_M": rep.P_M, "C_M": rep.C_M}
         circles = {"circum": (M, R), "feuerbach": (rep.F_M, R / P.d),
                    "half_radius": (rep.C_M, R / 2)}
         incidences = [np.asarray(p) for p in rep.sub_centroids + rep.midpoints]

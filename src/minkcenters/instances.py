@@ -62,7 +62,7 @@ def default_tolerances(eps_geom=None):
             eps_geom = float(env)
     if eps_geom is None:
         return Tolerances()
-    return Tolerances(eps_geom=eps_geom, eps_opt=min(1e-12, eps_geom))
+    return Tolerances(eps_geom=eps_geom)
 
 
 def parse_instance(obj, eps_geom_override=None):
@@ -76,12 +76,11 @@ def parse_instance(obj, eps_geom_override=None):
         raise InstanceError(str(exc)) from None
 
     tol_obj = obj.get("tolerances") or {}
-    _require_keys(tol_obj, {"eps_geom", "eps_opt", "max_iters"}, "tolerances")
+    _require_keys(tol_obj, {"eps_geom", "max_iters"}, "tolerances")
     base = default_tolerances(eps_geom_override)
     try:
         tol = Tolerances(
             eps_geom=float(tol_obj.get("eps_geom", base.eps_geom)),
-            eps_opt=float(tol_obj.get("eps_opt", base.eps_opt)),
             max_iters=int(tol_obj.get("max_iters", base.max_iters)),
         )
     except ValueError as exc:

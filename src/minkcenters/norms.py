@@ -9,11 +9,14 @@ maximum of the facet functionals.
 
 On top of plain evaluation, this module decides the two classical
 orthogonality relations of normed spaces (isosceles and Birkhoff) and
-normality of a vector to a hyperplane.
+normality of a vector to a hyperplane.  Birkhoff orthogonality and normality
+are read off the norm's subgradients (the supporting functionals of the unit
+ball), which makes both exact for smooth and polyhedral norms alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,19 +36,16 @@ __all__ = [
 class Tolerances:
     """Numerical tolerances shared by the geometric predicates and solvers.
 
-    eps_geom is the incidence/equality tolerance, eps_opt the convergence
-    tolerance of inner 1-d searches, max_iters caps iterative solvers.
+    eps_geom is the incidence/equality tolerance, max_iters caps iterative
+    solvers.
     """
 
     eps_geom: float = 1e-9
-    eps_opt: float = 1e-12
     max_iters: int = 400
 
     def __post_init__(self):
-        if not (self.eps_geom > 0 and self.eps_opt > 0 and self.max_iters > 0):
+        if not (self.eps_geom > 0 and self.max_iters > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.eps_opt > self.eps_geom:
-            raise ValueError("eps_opt must not exceed eps_geom")
 
 
 DEFAULT_TOL = Tolerances()
@@ -129,6 +129,33 @@ class Norm:
             return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
         return np.maximum(np.max(v @ self._facets.T, axis=-1), 0.0)
 
+    def subgradients(self, x, eps):
+        """Extreme points of the subdifferential of the norm at x, as rows.
+
+        Each row g supports the unit ball at x: g.x = ||x|| and g.y <= ||y||
+        for every y.  A coordinate or facet counts as active when it comes
+        within eps*||x|| of attaining the norm.  x must be nonzero.
+        """
+        x = np.asarray(x, dtype=float)
+        nx = float(self(x))
+        if nx == 0.0:
+            raise ValueError("subgradients need a nonzero vector")
+        slack = eps * nx
+        if self.kind == "euclidean":
+            return (x / nx)[None, :]
+        if self.kind == "polyhedral":
+            F = self._facets
+            return F[F @ x >= nx - slack]
+        if math.isinf(self.p):
+            return np.diag(np.sign(x))[np.abs(x) >= nx - slack]
+        if self.p == 1.0:
+            zero = np.flatnonzero(np.abs(x) <= slack)
+            G = np.tile(np.sign(x), (2 ** len(zero), 1))
+            G[:, zero] = list(itertools.product((-1.0, 1.0), repeat=len(zero)))
+            return G
+        u = x / nx
+        return (np.sign(u) * np.abs(u) ** (self.p - 1.0))[None, :]
+
     @property
     def smooth(self):
         """True when the unit sphere has a unique supporting line everywhere.
@@ -180,7 +207,7 @@ class Norm:
         return "Norm.euclidean()"
 
 
-def _check_pair(spec, x, y):
+def _check_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -190,87 +217,56 @@ def _check_pair(spec, x, y):
 
 def is_isosceles_orthogonal(spec, x, y, tol=DEFAULT_TOL):
     """x is isosceles orthogonal to y: the two diagonals x+y, x-y have equal length."""
-    x, y = _check_pair(spec, x, y)
+    x, y = _check_pair(x, y)
     scale = max(1.0, spec(x), spec(y))
     return abs(spec(x + y) - spec(x - y)) <= tol.eps_geom * scale
-
-
-def _golden_min(f, lo, hi, eps):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > eps:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
 
 
 def is_birkhoff_orthogonal(spec, x, y, tol=DEFAULT_TOL):
     """x is Birkhoff orthogonal to y: ||x|| <= ||x + a*y|| for every scalar a.
 
-    The map a -> ||x + a*y|| is convex, and outside |a| <= 2||x||/||y|| the
-    triangle inequality already forces ||x + a*y|| >= ||x||, so a golden-section
-    search on that bracket decides the predicate.
+    By James' characterisation this holds iff some supporting functional g of
+    the unit ball at x vanishes on y.  Those functionals are the convex hull
+    of the rows of spec.subgradients(x), so g.y sweeps [min G.y, max G.y] and
+    the predicate asks whether that interval meets [-eps ||y||, eps ||y||].
+    The test is linear and homogeneous in both x and y.
     """
-    x, y = _check_pair(spec, x, y)
+    x, y = _check_pair(x, y)
     ny = spec(y)
     if ny == 0.0:
         raise ValueError("y must be nonzero")
-    nx = spec(x)
-    if nx == 0.0:
+    if spec(x) == 0.0:
         return True
-    bracket = 2.0 * nx / ny
-    fmin = _golden_min(lambda a: spec(x + a * y), -bracket, bracket,
-                       tol.eps_opt * max(1.0, bracket))
-    return fmin >= nx - tol.eps_geom * max(1.0, nx)
-
-
-def _probe_directions(basis, rng_seed=0):
-    """Finite probing set spanning a hyperplane: basis vectors, pairwise
-    sums/differences, and random unit combinations (guards polyhedral kinks)."""
-    W = [w for w in basis]
-    k = len(basis)
-    for i in range(k):
-        for j in range(i + 1, k):
-            W.append(basis[i] + basis[j])
-            W.append(basis[i] - basis[j])
-    rng = np.random.default_rng(rng_seed)
-    B = np.asarray(basis, dtype=float)
-    for _ in range(2 * k):
-        c = rng.normal(size=k)
-        w = c @ B
-        n = np.linalg.norm(w)
-        if n > 1e-12:
-            W.append(w / n)
-    return W
+    gy = spec.subgradients(x, tol.eps_geom) @ y
+    slack = tol.eps_geom * ny
+    return bool(gy.min() <= slack and gy.max() >= -slack)
 
 
 def is_normal_to_hyperplane(spec, v, hyperplane_basis, tol=DEFAULT_TOL):
-    """Is v normal to the hyperplane spanned by the given d-1 directions?
+    """Is v normal to the hyperplane H spanned by the given d-1 directions?
 
-    Normality means v is Birkhoff orthogonal to every direction parallel to
-    the hyperplane; this is decided on a finite probing set, which is exact
-    for Euclidean and smooth l_p norms and a documented approximation for
-    polyhedral ones.
+    Normality means v is Birkhoff orthogonal to every direction in H, i.e.
+    some supporting functional at v vanishes on all of H.  With the basis
+    rows scaled to unit norm (matrix B) and G = spec.subgradients(v), that
+    asks whether 0 lies in the convex hull of the columns of C = B G^T.  One
+    nonnegative least-squares solve of [C; 1] lam = [0; 1] decides it: its
+    residual r and the distance delta of 0 from the hull obey
+    r^2 = delta^2 / (1 + delta^2).  The test is exact for every norm kind.
     """
+    from scipy.optimize import nnls
+
     v = np.asarray(v, dtype=float)
     d = v.shape[0]
-    basis = [np.asarray(w, dtype=float) for w in hyperplane_basis]
-    if len(basis) != d - 1:
-        raise ValueError(f"expected {d - 1} spanning vectors, got {len(basis)}")
-    B = np.asarray(basis)
+    B = np.asarray(hyperplane_basis, dtype=float)
+    if len(B) != d - 1:
+        raise ValueError(f"expected {d - 1} spanning vectors, got {len(B)}")
     if np.linalg.matrix_rank(B, tol=1e-12 * max(1.0, np.abs(B).max())) < d - 1:
         raise ValueError("hyperplane basis is degenerate")
     aug = np.vstack([B, v])
     if np.linalg.matrix_rank(aug, tol=1e-12 * max(1.0, np.abs(aug).max())) < d:
         raise ValueError("v lies in the span of the hyperplane basis")
-    return all(is_birkhoff_orthogonal(spec, v, w, tol) for w in _probe_directions(basis))
+    C = (B / spec(B)[:, None]) @ spec.subgradients(v, tol.eps_geom).T
+    A = np.vstack([C, np.ones(C.shape[1])])
+    b = np.zeros(d)
+    b[-1] = 1.0
+    return bool(nnls(A, b)[1] <= tol.eps_geom)

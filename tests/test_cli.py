@@ -103,6 +103,15 @@ class TestCenters:
         assert main(["centers", inst]) == EXIT_INVALID
         assert "unknown fields" in capsys.readouterr().err
 
+    def test_tolerances_schema(self, tmp_path, capsys):
+        obj = dict(SIMPLEX_EUCL, tolerances={"eps_geom": 1e-8, "max_iters": 50})
+        assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_OK
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["tolerances"] == {"eps_geom": 1e-8, "max_iters": 50}
+        obj = dict(SIMPLEX_EUCL, tolerances={"eps_opt": 1e-12})
+        assert main(["centers", write_instance(tmp_path / "u.json", obj)]) == EXIT_INVALID
+        assert "unknown fields in tolerances" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

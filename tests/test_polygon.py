@@ -91,7 +91,7 @@ def test_vertices_off_circle_rejected():
 def test_nonconvex_rejected():
     # loose tolerance lets a vertex sit noticeably inside the hull
     linf = Norm.lp(math.inf)
-    tol = Tolerances(eps_geom=1e-2, eps_opt=1e-12)
+    tol = Tolerances(eps_geom=1e-2)
     V = [[1, -1], [0.992, 0.0], [1, 1], [-1, 0.0]]
     with pytest.raises(ValueError, match="convex"):
         CyclicPolygon(V, (0, 0), 1.0, linf, tol)
