@@ -8,12 +8,9 @@ oracles and randomized verification suites.
 
 __version__ = "0.1.0"
 
-from .affine import (Hyperplane, Line, Segment, divide_internally, homothety,
-                     hyperplane_contains, hyperplanes_intersection, line_through,
-                     lines_concurrent, point_on_line)
-from .centers import (CentersReport, complementary_point, feuerbach_center,
-                      feuerbach_incidence_points, full_report, m_hyperplanes,
-                      monge_lines, monge_point)
+from .affine import Hyperplane, Line, lines_concurrent, point_on_line
+from .centers import (CentersReport, complementary_point, euler_point, full_report,
+                      m_hyperplanes, monge_lines, monge_point)
 from .circumcenter import (CircumResult, grid_oracle_circumcenters,
                            is_circumcenter, solve_circumcenter)
 from .figures import SHOW_MODES, render_figure
@@ -22,24 +19,22 @@ from .instances import (Instance, InstanceError, dump_report, load_instance,
 from .norms import (Norm, Tolerances, is_birkhoff_orthogonal,
                     is_isosceles_orthogonal, is_normal_to_hyperplane)
 from .polygon import (CyclicPolygon, PolygonReport, parallelepiped_lift,
-                      polygon_centers, sample_cyclic_polygon, subpolygon_family,
+                      sample_cyclic_polygon, subpolygon_family,
                       verify_polygon_theorems)
-from .simplex import (Simplex, centroid, euclid_is_orthocentric,
-                      euclid_orthocenter, face_centroid, quasi_median)
+from .simplex import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
+                      face_centroid)
 
 __all__ = [
     "Norm", "Tolerances", "is_isosceles_orthogonal", "is_birkhoff_orthogonal",
     "is_normal_to_hyperplane",
-    "Line", "Hyperplane", "Segment", "line_through", "point_on_line",
-    "lines_concurrent", "divide_internally", "homothety", "hyperplane_contains",
-    "hyperplanes_intersection",
-    "Simplex", "centroid", "face_centroid", "quasi_median",
+    "Line", "Hyperplane", "point_on_line", "lines_concurrent",
+    "Simplex", "face_centroid",
     "euclid_is_orthocentric", "euclid_orthocenter",
     "CircumResult", "is_circumcenter", "solve_circumcenter",
     "grid_oracle_circumcenters",
-    "CentersReport", "monge_point", "complementary_point", "feuerbach_center",
-    "feuerbach_incidence_points", "monge_lines", "m_hyperplanes", "full_report",
-    "CyclicPolygon", "PolygonReport", "polygon_centers", "subpolygon_family",
+    "CentersReport", "euler_point", "monge_point", "complementary_point",
+    "monge_lines", "m_hyperplanes", "full_report",
+    "CyclicPolygon", "PolygonReport", "subpolygon_family",
     "verify_polygon_theorems", "parallelepiped_lift", "sample_cyclic_polygon",
     "Instance", "InstanceError", "parse_instance", "load_instance",
     "dump_report", "write_atomic",

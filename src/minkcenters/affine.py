@@ -1,7 +1,7 @@
-"""Norm-free affine primitives: lines, hyperplanes, segments, ratios.
+"""Norm-free affine primitives: lines, hyperplanes, incidence and concurrency.
 
-Incidence, concurrency, parallelism, and division ratios are affine notions,
-so all tests here use the auxiliary Euclidean metric regardless of the
+Incidence, concurrency and parallelism are affine notions, so all tests here
+use the auxiliary Euclidean metric regardless of the
 ambient norm; tolerances are scaled by the instance size.
 """
 
@@ -16,20 +16,9 @@ from .norms import DEFAULT_TOL
 __all__ = [
     "Line",
     "Hyperplane",
-    "Segment",
-    "line_through",
     "point_on_line",
     "lines_concurrent",
-    "divide_internally",
-    "homothety",
-    "hyperplane_contains",
-    "hyperplanes_intersection",
-    "NotInGeneralPosition",
 ]
-
-
-class NotInGeneralPosition(ValueError):
-    """Raised when an intersection problem is rank-deficient."""
 
 
 def _vec(x):
@@ -70,26 +59,6 @@ class Hyperplane:
         """Euclidean unit normal (auxiliary metric, used for incidence only)."""
         _, _, vh = np.linalg.svd(self.spanning)
         return vh[-1]
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec(self.a))
-        object.__setattr__(self, "b", _vec(self.b))
-
-    def midpoint(self):
-        return 0.5 * (self.a + self.b)
-
-
-def line_through(p, q):
-    p, q = _vec(p), _vec(q)
-    if np.array_equal(p, q):
-        raise ValueError("cannot span a line through coincident points")
-    return Line(p, q - p)
 
 
 def point_on_line(line, p, tol=DEFAULT_TOL):
@@ -145,48 +114,3 @@ def lines_concurrent(lines, tol=DEFAULT_TOL):
     if all(point_on_line(l, point, tol) for l in lines):
         return point
     return None
-
-
-def divide_internally(seg, m, n):
-    """Point dividing [a, b] internally in the ratio m:n (affine)."""
-    if not (m > 0 and n > 0):
-        raise ValueError("ratio parts must be positive")
-    return seg.a + (m / (m + n)) * (seg.b - seg.a)
-
-
-def homothety(center, ratio, p):
-    if ratio == 0:
-        raise ValueError("homothety ratio must be nonzero")
-    center, p = _vec(center), _vec(p)
-    return center + ratio * (p - center)
-
-
-def hyperplane_contains(h, p, tol=DEFAULT_TOL):
-    p = _vec(p)
-    w = p - h.base
-    resid = abs(w @ h.normal())
-    scale = max(1.0, np.linalg.norm(w))
-    return resid <= tol.eps_geom * scale
-
-
-def hyperplanes_intersection(hyperplanes, tol=DEFAULT_TOL):
-    """Common point of >= d hyperplanes via a stacked linear solve.
-
-    Returns None when the system is inconsistent (e.g. parallel distinct
-    hyperplanes); raises NotInGeneralPosition when it is consistent but
-    rank-deficient (no unique point).
-    """
-    hyperplanes = list(hyperplanes)
-    if not hyperplanes:
-        raise ValueError("need at least one hyperplane")
-    d = hyperplanes[0].base.shape[0]
-    N = np.array([h.normal() for h in hyperplanes])
-    c = np.array([h.normal() @ h.base for h in hyperplanes])
-    scale = max(1.0, max(np.linalg.norm(h.base) for h in hyperplanes))
-    x, _, rank, _ = np.linalg.lstsq(N, c, rcond=None)
-    resid = np.abs(N @ x - c).max()
-    if resid > tol.eps_geom * scale:
-        return None
-    if rank < d:
-        raise NotInGeneralPosition("hyperplanes are not in general position")
-    return x

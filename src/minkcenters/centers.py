@@ -1,15 +1,15 @@
 """Simplex center constructions: Monge lines and point, M-hyperplanes,
 complementary point, Euler line ratios, and the Feuerbach 2(d+1)-sphere.
 
-With s = sum_i (A_i - M), the centers associated to a point M are
+Every center here is one point of the affine family
 
-    G   = M + s / (d+1)      (centroid)
-    F_M = M + s / d          (Feuerbach / 2(d+1)-center, radius R/d)
-    N_M = M + s / (d-1)      (Monge point)
-    P_M = M + s              (complementary point)
+    euler_point(V, M, k) = M + sum_i (V_i - M) / k
 
-All four are affine constructions: only the sphere radii require M to be a
-certified circumcenter.
+over the vertices V of a d-simplex and a reference point M: k = d+1 gives
+the centroid G, k = d the Feuerbach center F_M (sphere radius R/d), k = d-1
+the Monge point N_M and k = 1 the complementary point P_M.  All of them are
+affine constructions: only the sphere radii require M to be a certified
+circumcenter.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .simplex import face_centroid, ridge_edge_pairs
 
 __all__ = [
     "CentersReport",
+    "euler_point",
     "monge_point",
     "complementary_point",
-    "feuerbach_center",
-    "feuerbach_incidence_points",
     "monge_lines",
     "m_hyperplanes",
     "full_report",
@@ -51,49 +50,47 @@ class CentersReport:
     ratio_residuals: dict = field(default_factory=dict)
 
 
-def _vertex_sum(T, M):
+def euler_point(V, M, k):
+    """M + sum_i (V_i - M) / k over the rows V_i of V (the module docstring
+    lists the centers each k gives).  Leading axes of V are batch axes."""
     M = np.asarray(M, dtype=float)
-    return M, np.sum(T.vertices - M, axis=0)
+    return M + np.sum(np.asarray(V, dtype=float) - M, axis=-2) / k
+
+
+def _vertex_deleted(V):
+    """(n, n-1, dim) array whose entry i is V without row i."""
+    n = len(V)
+    return V[np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)]
+
+
+def _division_points(V, M, k):
+    """F + (V_i - M)/k for every row i, with F = euler_point(V, M, k).
+
+    For the d+1 vertices A_i and k = d these are the points L^M_i dividing
+    [N_M, A_i] in the ratio 1:(d-1).
+    """
+    return list(euler_point(V, M, k) + (V - M) / k)
 
 
 def monge_point(T, M):
-    """N_M = M + sum(A_i - M) / (d - 1); works for any reference point M."""
-    if T.dim < 2:
-        raise ValueError("Monge point needs d >= 2")
-    M, s = _vertex_sum(T, M)
-    return M + s / (T.dim - 1)
+    """N_M = euler_point(vertices, M, d-1); works for any reference point M."""
+    return euler_point(T.vertices, M, T.dim - 1)
 
 
 def complementary_point(T, M):
-    """P_M = M + sum(A_i - M); equivalently A_j + d (G_j - M) for every j."""
-    M, s = _vertex_sum(T, M)
-    return M + s
+    """P_M = euler_point(vertices, M, 1); equivalently A_j + d (G_j - M) for every j."""
+    return euler_point(T.vertices, M, 1)
 
 
-def feuerbach_center(T, M, norm, tol=DEFAULT_TOL):
-    """(F_M, R/d); requires M to be a circumcenter since the radius depends on R."""
-    R = is_circumcenter(norm, T, M, tol)
-    if R is None:
-        raise ValueError("M is not a circumcenter at tolerance")
-    M, s = _vertex_sum(T, M)
-    return M + s / T.dim, R / T.dim
-
-
-def feuerbach_incidence_points(T, M, norm, tol=DEFAULT_TOL):
-    """The 2(d+1) points on the Feuerbach sphere: facet centroids G_i and the
-    division points L^M_i = M + s/d - (M - A_i)/d."""
-    if is_circumcenter(norm, T, M, tol) is None:
-        raise ValueError("M is not a circumcenter at tolerance")
-    return _incidence_points(T, M)
-
-
-def _incidence_points(T, M):
-    M, s = _vertex_sum(T, M)
-    d = T.dim
-    facet_centroids = [face_centroid(T, [j for j in range(d + 1) if j != i])
-                       for i in range(d + 1)]
-    division_points = [M + s / d - (M - T.vertices[i]) / d for i in range(d + 1)]
-    return facet_centroids, division_points
+def _monge_pairs(T, M, tol):
+    """(ridge, ridge centroid, direction from M to the opposite edge midpoint)
+    for every (ridge, opposite edge) pair, skipping M at the edge midpoint."""
+    M = np.asarray(M, dtype=float)
+    scale = T.diameter
+    for ridge, edge in ridge_edge_pairs(T):
+        direction = face_centroid(T, edge) - M
+        if np.linalg.norm(direction) > tol.eps_geom * scale:
+            yield ridge, face_centroid(T, ridge), direction
 
 
 def monge_lines(T, M, tol=DEFAULT_TOL):
@@ -102,16 +99,7 @@ def monge_lines(T, M, tol=DEFAULT_TOL):
 
     Pairs where M coincides with the edge midpoint are skipped (at most one).
     """
-    M = np.asarray(M, dtype=float)
-    scale = T.diameter
-    lines = []
-    for ridge, edge in ridge_edge_pairs(T):
-        mid = face_centroid(T, edge)
-        direction = mid - M
-        if np.linalg.norm(direction) <= tol.eps_geom * scale:
-            continue
-        lines.append(Line(face_centroid(T, ridge), direction))
-    return lines
+    return [Line(base, direction) for _, base, direction in _monge_pairs(T, M, tol)]
 
 
 def m_hyperplanes(T, M, tol=DEFAULT_TOL):
@@ -119,19 +107,12 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     the opposite edge midpoint.  Pairs with M at the midpoint, or with that
     line parallel to F, are skipped; at least d hyperplanes always remain.
     """
-    M = np.asarray(M, dtype=float)
-    d = T.dim
-    scale = T.diameter
+    V = T.vertices
+    rank_tol = 1e-10 * max(1.0, T.diameter)
     planes = []
-    for ridge, edge in ridge_edge_pairs(T):
-        mid = face_centroid(T, edge)
-        direction = mid - M
-        if np.linalg.norm(direction) <= tol.eps_geom * scale:
-            continue
-        base = face_centroid(T, ridge)
-        ridge_dirs = T.vertices[list(ridge[1:])] - T.vertices[ridge[0]]
-        span = np.vstack([ridge_dirs, direction]) if len(ridge) > 1 else direction[None, :]
-        if np.linalg.matrix_rank(span, tol=1e-10 * max(1.0, scale)) < d - 1:
+    for ridge, base, direction in _monge_pairs(T, M, tol):
+        span = np.vstack([V[list(ridge[1:])] - V[ridge[0]], direction])
+        if np.linalg.matrix_rank(span, tol=rank_tol) < T.dim - 1:
             continue  # direction parallel to the ridge
         planes.append(Hyperplane(base, span))
     return planes
@@ -145,9 +126,11 @@ def _affine_ratio(M, X, s):
 def full_report(norm, T, M=None, tol=DEFAULT_TOL):
     """Compute all centers of T and validate the Euler-line division ratios.
 
-    When M is omitted the circumcenter solver provides it.  Ratios are checked
-    through affine parameters along the Euler line (norm-independent), and the
-    report records their residuals.
+    When M is omitted the circumcenter solver provides it; a given M must be
+    a circumcenter at tolerance (ValueError otherwise).  Ratios are checked
+    through affine parameters along the Euler line (norm-independent), and
+    the report records their residuals.  The 2(d+1) Feuerbach incidence
+    points are the facet centroids G_i and the division points L^M_i.
     """
     if M is None:
         result = solve_circumcenter(norm, T, tol)
@@ -158,12 +141,13 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
     if R is None:
         raise ValueError("M is not a circumcenter at tolerance")
     M = np.asarray(M, dtype=float)
+    V = T.vertices
     d = T.dim
-    s = np.sum(T.vertices - M, axis=0)
-    G = M + s / (d + 1)
-    F_M = M + s / d
-    N_M = M + s / (d - 1)
-    P_M = M + s
+    G = euler_point(V, M, d + 1)
+    F_M = euler_point(V, M, d)
+    N_M = euler_point(V, M, d - 1)
+    P_M = euler_point(V, M, 1)
+    s = P_M - M
     collapsed = bool(np.linalg.norm(s) <= tol.eps_geom * T.diameter)
     euler = None if collapsed else Line(M, s)
 
@@ -181,10 +165,10 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
         t_F = (N_M - F_M) @ s / (s @ s)
         ratios["F_on_NM"] = abs(t_F / (1.0 / (d - 1)) - 1.0 / d)
 
-    facet_centroids, division_points = _incidence_points(T, M)  # M certified above
     return CentersReport(
         M=M, R=R, G=G, N_M=N_M, P_M=P_M, F_M=F_M,
         feuerbach_radius=R / d, euler_line=euler, collapsed=collapsed,
-        facet_centroids=facet_centroids, division_points=division_points,
+        facet_centroids=list(euler_point(_vertex_deleted(V), M, d)),
+        division_points=_division_points(V, M, d),
         ratio_residuals=ratios,
     )

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import least_squares, minimize
 
 from .norms import DEFAULT_TOL
 
@@ -73,6 +71,8 @@ def _phi(norm, V):
 
 
 def _nelder_mead(f, x0, scale, maxiter):
+    from scipy.optimize import minimize
+
     return minimize(f, x0, method="Nelder-Mead",
                     options=dict(xatol=1e-14 * scale, fatol=0.0,
                                  maxiter=maxiter, adaptive=True))
@@ -96,7 +96,7 @@ def _min_radius_polish(norm, V, x0, scale, eps_geom, maxiter):
     return x
 
 
-def solve_circumcenter(norm, T, tol=DEFAULT_TOL, n_random_starts=None):
+def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     """Locate a circumcenter of T under the given norm.
 
     Returns a CircumResult; "found" requires phi <= (eps_geom * diameter)^2.
@@ -114,11 +114,13 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL, n_random_starts=None):
         return CircumResult("found", M, float(dd.mean()),
                             float(np.abs(dd - dd.mean()).max()), 1)
 
-    if n_random_starts is None:
-        n_random_starts = 5  # with the d+3 fixed starts: 8+d in total
+    from scipy.optimize import least_squares
+
     rng = np.random.default_rng(0)
     starts = [_euclidean_center(V), V.mean(axis=0)] + list(V)
-    starts += [V.mean(axis=0) + rng.normal(size=d) * scale for _ in range(n_random_starts)]
+    # 5 random starts; with the d+3 fixed starts: 8+d in total
+    starts += [V.mean(axis=0) + rng.normal(size=d) * scale for _ in range(5)]
+    res_fun = _make_residual(norm, V)
 
     best_x, best_f = None, np.inf
     starts_used = 0
@@ -126,7 +128,6 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL, n_random_starts=None):
         starts_used += 1
         x = np.asarray(s, dtype=float)
         if norm.smooth:
-            res_fun = _make_residual(norm, V)
             out = least_squares(res_fun, x, xtol=3e-16, ftol=3e-16, gtol=3e-16,
                                 max_nfev=tol.max_iters * d)
             x, f = out.x, float(np.sum(out.fun ** 2))
@@ -204,6 +205,8 @@ def grid_oracle_circumcenters(norm, T, grid_step, box=None, cell_cap=10_000_000)
         r = dd.mean(axis=1)
         defect[i:i + chunk] = np.abs(dd - r[:, None]).max(axis=1)
         radius[i:i + chunk] = r
+    from scipy import ndimage
+
     mask = (defect <= 2.0 * grid_step).reshape(shape)
     labels, n = ndimage.label(mask)
     out = []

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 __all__ = [
     "Tolerances",
@@ -88,6 +87,8 @@ class Norm:
         return cls("polyhedral", vertices=vertices)
 
     def _init_polyhedral(self, vertices):
+        from scipy.spatial import ConvexHull
+
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] < 2:
             raise ValueError("polyhedral unit ball needs an (m, d) vertex array, d >= 2")
@@ -216,9 +217,13 @@ def _check_pair(x, y):
 
 
 def is_isosceles_orthogonal(spec, x, y, tol=DEFAULT_TOL):
-    """x is isosceles orthogonal to y: the two diagonals x+y, x-y have equal length."""
+    """x is isosceles orthogonal to y: the two diagonals x+y, x-y have equal length.
+
+    The tolerance scales with max(||x||, ||y||), so the test is homogeneous:
+    scaling x and y together never changes the answer.
+    """
     x, y = _check_pair(x, y)
-    scale = max(1.0, spec(x), spec(y))
+    scale = max(spec(x), spec(y))
     return abs(spec(x + y) - spec(x - y)) <= tol.eps_geom * scale
 
 

@@ -2,11 +2,11 @@
 derived circles, and the parallelepiped lift.
 
 A cyclic polygon has d+1 >= 4 vertices on a common Minkowskian circle
-S(M, R).  Its centers reuse the simplex formulas (with s = sum_i (A_i - M)):
-G = M + s/(d+1), F_M = M + s/d, N_M = M + s/(d-1), P_M = M + s, and the
-spatial center C_M = M + s/2 is the midpoint of [M, P_M].  Removing a vertex
-gives a subpolygon that keeps M as circumcenter, which yields the three
-derived circles of radius R/2, R/d, and R/(d-2).
+S(M, R).  Its centers are points of the simplex kernel
+centers.euler_point(vertices, M, k): G, F_M, N_M and P_M at the same k as
+for a d-simplex, and the spatial center C_M (the midpoint of [M, P_M]) at
+k = 2.  Removing a vertex gives a subpolygon that keeps M as circumcenter,
+which yields the three derived circles of radius R/2, R/d, and R/(d-2).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .centers import _division_points, _vertex_deleted, euler_point
 from .norms import DEFAULT_TOL
 
 __all__ = [
     "CyclicPolygon",
     "PolygonReport",
-    "polygon_centers",
     "subpolygon_family",
     "verify_polygon_theorems",
     "parallelepiped_lift",
@@ -86,47 +86,32 @@ class PolygonReport:
     circles: dict = field(default_factory=dict)  # name -> (center, radius)
 
 
-def polygon_centers(P):
-    """(G, F_M, N_M, P_M, C_M) from the defining formulas."""
-    d = P.d
-    s = np.sum(P.vertices - P.M, axis=0)
-    G = P.M + s / (d + 1)
-    F_M = P.M + s / d
-    N_M = P.M + s / (d - 1)
-    P_M = P.M + s
-    C_M = P.M + s / 2
-    return G, F_M, N_M, P_M, C_M
-
-
 def subpolygon_family(P):
-    """Centers of all vertex-deleted subpolygons plus the derived circles.
+    """Centers of P and of all its vertex-deleted subpolygons, plus the
+    derived circles.
 
     Deleting A_i keeps M as a circumcenter, so each subpolygon (with degree
-    d-1) has its own complementary, spatial, and Monge points:
-    P_M^i = P_M - (A_i - M), C_M^i = C_M - (A_i - M)/2, and N_M^i from the
-    Monge formula with denominator d-2.
+    d-1) has its own complementary point P_M^i, spatial center C_M^i, Monge
+    point N_M^i and centroid G_i: the kernel on the vertices without A_i.
     """
     d = P.d
-    if d < 3:
-        raise ValueError("subpolygons need d >= 3")
-    G, F_M, N_M, P_M, C_M = polygon_centers(P)
     M, V = P.M, P.vertices
-    rel = V - M
-    sub_comp = [P_M - r for r in rel]
-    sub_spatial = [C_M - 0.5 * r for r in rel]
-    s = np.sum(rel, axis=0)
-    sub_monge = [M + (s - r) / (d - 2) for r in rel]
-    sub_centroids = [(V.sum(axis=0) - v) / d for v in V]
-    midpoints = [0.5 * (v + P_M) for v in V]
+    sub = _vertex_deleted(V)
+    P_M = euler_point(V, M, 1)
+    C_M = euler_point(V, M, 2)
+    F_M = euler_point(V, M, d)
     circles = {
         "half_radius": (C_M, P.R / 2),
         "feuerbach": (F_M, P.R / d),
-        "sub_monge": (M + s / (d - 2), P.R / (d - 2)),
+        "sub_monge": (euler_point(V, M, d - 2), P.R / (d - 2)),
     }
-    return PolygonReport(G=G, F_M=F_M, N_M=N_M, P_M=P_M, C_M=C_M,
-                         sub_complementary=sub_comp, sub_spatial=sub_spatial,
-                         sub_monge=sub_monge, sub_centroids=sub_centroids,
-                         midpoints=midpoints, circles=circles)
+    return PolygonReport(G=euler_point(V, M, d + 1), F_M=F_M,
+                         N_M=euler_point(V, M, d - 1), P_M=P_M, C_M=C_M,
+                         sub_complementary=list(euler_point(sub, M, 1)),
+                         sub_spatial=list(euler_point(sub, M, 2)),
+                         sub_monge=list(euler_point(sub, M, d - 2)),
+                         sub_centroids=list(euler_point(sub, M, d)),
+                         midpoints=[0.5 * (v + P_M) for v in V], circles=circles)
 
 
 def _line_point_residual(a, b, x):
@@ -185,12 +170,12 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
         record("5.2a_monge_concurrency", max(line_res, ratio_res))
 
     # 5.2(b): sub-centroids G_i and division points L^M_i on S(F_M, R/d)
-    L = [rep.N_M + (a - rep.N_M) / d for a in V]
+    L = _division_points(V, P.M, d)
     record("5.2b_feuerbach_circle",
            max(max(abs(norm(g - rep.F_M) - R / d) for g in rep.sub_centroids),
                max(abs(norm(l - rep.F_M) - R / d) for l in L)))
 
-    # 5.2(c): sub-Monge points concyclic on S(M + s/(d-2), R/(d-2))
+    # 5.2(c): sub-Monge points concyclic on S(euler_point(V, M, d-2), R/(d-2))
     c, r = rep.circles["sub_monge"]
     record("5.2c_sub_monge_circle",
            max(abs(norm(q - c) - r) for q in rep.sub_monge))
@@ -198,8 +183,8 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
 
 
 def parallelepiped_lift(P):
-    """Planar projections V_S = M + sum_{i in S} (A_i - M) of the vertices of
-    the spanning (d+1)-parallelepiped, for every subset S of vertex indices.
+    """Planar projections V_S = euler_point(A_S, M, 1) of the vertices of the
+    spanning (d+1)-parallelepiped, for every subset S of vertex indices.
 
     V_empty = M, singletons give the A_i, the full set gives P_M; the main
     diagonal [M, P_M] carries G, F_M, N_M at ratios 1:d, 1:(d-1), 1:(d-2).
@@ -207,11 +192,10 @@ def parallelepiped_lift(P):
     n = P.d + 1
     if n > 20:
         raise ValueError("parallelepiped lift capped at 20 vertices (2^n blowup)")
-    rel = P.vertices - P.M
     out = []
     for r in range(n + 1):
         for S in itertools.combinations(range(n), r):
-            out.append((S, P.M + rel[list(S)].sum(axis=0) if S else P.M.copy()))
+            out.append((S, euler_point(P.vertices[list(S)], P.M, 1)))
     return out
 
 

@@ -1,5 +1,5 @@
-"""Simplex combinatorics: faces, centroids, quasi-medians, and the Euclidean
-orthocentricity cross-check.
+"""Simplex combinatorics: faces, face centroids, ridge/edge pairs, and the
+Euclidean orthocentricity cross-check.
 
 Faces are index sets into the single vertex array; derived points are always
 recomputed from the vertices, never cached copies.
@@ -11,14 +11,12 @@ import itertools
 
 import numpy as np
 
-from .affine import Line, Segment, lines_concurrent
+from .affine import Line, lines_concurrent
 from .norms import DEFAULT_TOL
 
 __all__ = [
     "Simplex",
-    "centroid",
     "face_centroid",
-    "quasi_median",
     "ridge_edge_pairs",
     "euclid_is_orthocentric",
     "euclid_orthocenter",
@@ -65,30 +63,9 @@ class Simplex:
         return f"Simplex(d={self.dim})"
 
 
-def centroid(T):
-    return T.vertices.mean(axis=0)
-
-
 def face_centroid(T, face):
     idx = T.face(face)
     return T.vertices[list(idx)].mean(axis=0)
-
-
-def opposite_edge(T, ridge):
-    """The edge joining the two vertices not in the (d-2)-face."""
-    ridge = T.face(ridge)
-    if len(ridge) != T.dim - 1:
-        raise ValueError("a ridge of a d-simplex has d-1 vertices")
-    return tuple(i for i in range(T.dim + 1) if i not in ridge)
-
-
-def quasi_median(T, ridge):
-    """Segment from the ridge centroid to the midpoint of the opposite edge.
-
-    For d=2 a "ridge" is a single vertex and the quasi-median is the median.
-    """
-    edge = opposite_edge(T, ridge)
-    return Segment(face_centroid(T, ridge), face_centroid(T, edge))
 
 
 def ridge_edge_pairs(T):

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .centers import complementary_point, full_report, m_hyperplanes, monge_lines, monge_point
-from .circumcenter import is_circumcenter, solve_circumcenter
-from .norms import Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
+from .circumcenter import solve_circumcenter
+from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import sample_cyclic_polygon, verify_polygon_theorems
 from .simplex import Simplex, euclid_orthocenter
 
@@ -25,6 +25,7 @@ __all__ = [
     "random_orthocentric_simplex",
     "random_polyhedral_norm",
     "ClaimStats",
+    "simplex_claims",
     "suite_orthogonality",
     "suite_simplex",
     "suite_polygon",
@@ -184,15 +185,53 @@ def suite_orthogonality(trials, seed=0, tol=None, dims=(2, 3, 4)):
     return stats
 
 
+def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
+    """Relative residual of each per-instance claim about T and its center M.
+
+    Residuals are scaled by the diameter of T, the Feuerbach defect by R.
+    Each claim holds when its residual is at most its threshold:
+    eps_geom for circumcenter_selfconsistent (the is_circumcenter test),
+    0 for m_hyperplane_count (d minus the number of M-hyperplanes),
+    1e-10 for euler_ratios and REL_TOL for the rest.  When M is not a
+    circumcenter only circumcenter_selfconsistent is returned; euler_ratios
+    and euler_collinear are left out when the Euler line collapses.
+    """
+    scale = T.diameter
+    dd = norm(T.vertices - np.asarray(M, dtype=float))
+    defect = float(np.abs(dd - dd.mean()).max())
+    claims = {"circumcenter_selfconsistent": defect / scale}
+    if defect > tol.eps_geom * scale:
+        return claims
+    rep = full_report(norm, T, M, tol)
+    N = rep.N_M
+    claims["monge_concurrency"] = max(_line_distance(l, N) for l in monge_lines(T, M, tol)) / scale
+    planes = m_hyperplanes(T, M, tol)
+    claims["m_hyperplane_incidence"] = max(_plane_distance(h, N) for h in planes) / scale
+    claims["m_hyperplane_count"] = float(T.dim - len(planes))
+    if not rep.collapsed:
+        claims["euler_ratios"] = max(v for v in rep.ratio_residuals.values()
+                                     if not isinstance(v, str))
+        claims["euler_collinear"] = max(_line_distance(rep.euler_line, p)
+                                        for p in (rep.G, rep.F_M, N, rep.P_M)) / scale
+    claims["feuerbach_incidence"] = max(
+        abs(norm(p - rep.F_M) - rep.feuerbach_radius)
+        for p in rep.facet_centroids + rep.division_points) / rep.R
+    return claims
+
+
 def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "linf", "polyhedral"),
                   seed=0, tol=None):
     tol = tol or Tolerances()
     gen, rng = _norm_cycle(list(norms), list(dims), seed)
     stats = {k: ClaimStats() for k in
-             ("circumcenter_selfconsistent", "smooth_solver_success", "monge_concurrency",
+             ("circumcenter_selfconsistent", "monge_concurrency",
               "m_hyperplane_incidence", "m_hyperplane_count", "euler_ratios",
               "feuerbach_incidence", "euler_collinear", "affine_invariance",
               "orthocenter_crosscheck")}
+    if any(parse_norm_name(name).smooth for name in norms):
+        stats["smooth_solver_success"] = ClaimStats()
+    limits = {"circumcenter_selfconsistent": tol.eps_geom, "m_hyperplane_count": 0.0,
+              "euler_ratios": 1e-10}
     for i in range(trials):
         d, norm = gen(i)
         T = random_simplex(d, rng)
@@ -203,33 +242,14 @@ def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "
         if not res.found:
             continue
         M = res.center
-        stats["circumcenter_selfconsistent"].add_bool(
-            is_circumcenter(norm, T, M, tol) is not None)
-        N = monge_point(T, M)
-        lines = monge_lines(T, M, tol)
-        stats["monge_concurrency"].add(
-            max(_line_distance(l, N) for l in lines) / scale, REL_TOL)
-        planes = m_hyperplanes(T, M, tol)
-        stats["m_hyperplane_count"].add_bool(len(planes) >= d)
-        stats["m_hyperplane_incidence"].add(
-            max(_plane_distance(h, N) for h in planes) / scale, REL_TOL)
-        rep = full_report(norm, T, M, tol)
-        if not rep.collapsed:
-            worst = max(v for v in rep.ratio_residuals.values() if not isinstance(v, str))
-            stats["euler_ratios"].add(worst, 1e-10)
-            coll = max(_line_distance(rep.euler_line, p)
-                       for p in (rep.G, rep.F_M, rep.N_M, rep.P_M)) / scale
-            stats["euler_collinear"].add(coll, REL_TOL)
-        stats["feuerbach_incidence"].add(
-            max(abs(norm(np.asarray(p) - rep.F_M) - rep.feuerbach_radius)
-                for p in rep.facet_centroids + rep.division_points) / max(rep.R, 1e-12),
-            REL_TOL)
+        for claim, residual in simplex_claims(norm, T, M, tol).items():
+            stats[claim].add(residual, limits.get(claim, REL_TOL))
         # affine invariance of the two affine constructions
         A = rng.normal(size=(d, d)) + np.eye(d) * 2
         b = rng.normal(size=d)
         phiT = Simplex(T.vertices @ A.T + b)
         phiM = A @ M + b
-        inv = max(np.linalg.norm(monge_point(phiT, phiM) - (A @ N + b)),
+        inv = max(np.linalg.norm(monge_point(phiT, phiM) - (A @ monge_point(T, M) + b)),
                   np.linalg.norm(complementary_point(phiT, phiM)
                                  - (A @ complementary_point(T, M) + b)))
         stats["affine_invariance"].add(inv / scale, REL_TOL)
@@ -268,6 +288,10 @@ def run_suites(which, trials, dims=None, norms=None, seed=0, tol=None):
     """Run the named suite ('simplex', 'polygon', 'orthogonality', or 'all')."""
     if trials <= 0:
         raise ValueError("empty suite")
+    if dims and which in ("simplex", "all") and min(dims) < 2:
+        raise ValueError("simplex dimensions must be >= 2")
+    if dims and which in ("polygon", "all") and min(dims) < 3:
+        raise ValueError("polygon degrees must be >= 3")
     out = {}
     if which in ("orthogonality", "all"):
         out["orthogonality"] = suite_orthogonality(trials, seed=seed, tol=tol)

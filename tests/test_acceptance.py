@@ -4,6 +4,8 @@ Each test covers one headline property, prints a single PASS/FAIL line
 (bypassing capture so the line always shows up in the run log), and asserts
 at the stated tolerance.  Criteria 1-4 share one deterministic batch of 500
 solved random simplices; the batch build doubles as the runtime budget check.
+Their residuals, and the soundness half of criterion 8, come from
+minkcenters.verify.simplex_claims, the checker behind `verify --suite simplex`.
 """
 
 import math
@@ -15,12 +17,12 @@ import numpy as np
 import pytest
 
 from minkcenters import (Norm, Simplex, full_report, grid_oracle_circumcenters,
-                         is_circumcenter, m_hyperplanes, monge_lines, monge_point,
-                         complementary_point, sample_cyclic_polygon,
+                         monge_point, complementary_point, sample_cyclic_polygon,
                          solve_circumcenter, verify_polygon_theorems)
+from minkcenters.norms import DEFAULT_TOL
 from minkcenters.simplex import euclid_orthocenter
 from minkcenters.verify import (parse_norm_name, random_orthocentric_simplex,
-                                random_simplex, regular_simplex)
+                                random_simplex, regular_simplex, simplex_claims)
 
 EUCL = Norm.euclidean()
 
@@ -51,11 +53,13 @@ class Solved:
     norm: Norm
     simplex: Simplex
     center: np.ndarray
+    claims: dict  # simplex_claims residuals
 
 
 @pytest.fixture(scope="module")
 def batch():
-    """500 random simplices, mixed dimensions and norms, solved once."""
+    """500 random simplices, mixed dimensions and norms, solved once and
+    checked once by simplex_claims (outside the timed solve budget)."""
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     found, elapsed_budget = [], 60.0
@@ -68,63 +72,46 @@ def batch():
         T = random_simplex(d, rng)
         res = solve_circumcenter(norm, T)
         if res.found:
-            found.append(Solved(d, norm, T, res.center))
+            found.append((d, norm, T, res.center))
     elapsed = time.perf_counter() - t0
     assert elapsed < elapsed_budget, f"batch took {elapsed:.1f}s"
     assert len(found) >= BATCH_SIZE // 2  # nonexistence is expected, not dominant
-    return found
+    return [Solved(d, norm, T, M, simplex_claims(norm, T, M))
+            for d, norm, T, M in found]
+
+
+def worst_claim(batch, claim):
+    """Largest residual of one claim over the batch instances that report it."""
+    return max((s.claims[claim] for s in batch if claim in s.claims), default=0.0)
 
 
 def test_criterion_1_monge_concurrency(batch, emit):
-    worst = 0.0
-    for s in batch:
-        N = monge_point(s.simplex, s.center)
-        for line in monge_lines(s.simplex, s.center):
-            u = line.direction / np.linalg.norm(line.direction)
-            w = N - line.base
-            worst = max(worst, np.linalg.norm(w - (w @ u) * u) / s.simplex.diameter)
+    worst = worst_claim(batch, "monge_concurrency")
     emit(1, worst <= 1e-8,
          f"Monge lines concurrent at N_M on {len(batch)} solved simplices, "
          f"max residual {worst:.2e} (tol 1e-8 x diameter)")
 
 
 def test_criterion_2_m_hyperplanes(batch, emit):
-    worst, min_count = 0.0, math.inf
-    for s in batch:
-        N = monge_point(s.simplex, s.center)
-        planes = m_hyperplanes(s.simplex, s.center)
-        min_count = min(min_count, len(planes))
-        for h in planes:
-            worst = max(worst, abs((N - h.base) @ h.normal()) / s.simplex.diameter)
-    ok = worst <= 1e-8 and min_count >= min(s.d for s in batch)
+    worst = worst_claim(batch, "m_hyperplane_incidence")
+    # the count claim is d minus the number of M-hyperplanes
+    min_count = min((int(s.d - s.claims["m_hyperplane_count"]) for s in batch
+                     if "m_hyperplane_count" in s.claims), default=0)
+    ok = worst <= 1e-8 and worst_claim(batch, "m_hyperplane_count") <= 0
     emit(2, ok, f"M-hyperplanes contain N_M, max residual {worst:.2e}, "
          f"min count {min_count} (need >= d)")
 
 
 def test_criterion_3_euler_ratios(batch, emit):
-    worst, checked = 0.0, 0
-    for s in batch:
-        rep = full_report(s.norm, s.simplex, s.center)
-        if rep.collapsed:
-            continue
-        checked += 1
-        for value in rep.ratio_residuals.values():
-            if not isinstance(value, str):
-                worst = max(worst, value)
+    worst = worst_claim(batch, "euler_ratios")
+    checked = sum("euler_ratios" in s.claims for s in batch)
     emit(3, worst <= 1e-10 and checked > 0,
          f"Euler-line ratios on {checked} non-collapsed instances, "
          f"max relative error {worst:.2e} (tol 1e-10)")
 
 
 def test_criterion_4_feuerbach_sphere(batch, emit):
-    worst = 0.0
-    for s in batch:
-        rep = full_report(s.norm, s.simplex, s.center)
-        points = rep.facet_centroids + rep.division_points
-        assert len(points) == 2 * (s.d + 1)
-        for p in points:
-            defect = abs(s.norm(np.asarray(p) - rep.F_M) - rep.feuerbach_radius)
-            worst = max(worst, defect / rep.R)
+    worst = worst_claim(batch, "feuerbach_incidence")
     emit(4, worst <= 1e-8,
          f"all 2(d+1) incidence points at norm-distance R/d from F_M, "
          f"max relative defect {worst:.2e} (tol 1e-8)")
@@ -179,7 +166,7 @@ def test_criterion_7_polygon_theorems(emit):
 
 
 def test_criterion_8_solver_soundness(batch, emit):
-    sound = all(is_circumcenter(s.norm, s.simplex, s.center) is not None
+    sound = all(s.claims["circumcenter_selfconsistent"] <= DEFAULT_TOL.eps_geom
                 for s in batch)
 
     rng = np.random.default_rng(8)

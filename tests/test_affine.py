@@ -1,34 +1,25 @@
 import numpy as np
 import pytest
 
-from minkcenters import (Hyperplane, Line, Segment, divide_internally, homothety,
-                         hyperplane_contains, hyperplanes_intersection,
-                         line_through, lines_concurrent, point_on_line)
-from minkcenters.affine import NotInGeneralPosition
+from minkcenters import Hyperplane, Line, lines_concurrent, point_on_line
 
 
-def test_line_through():
-    line = line_through((0, 0), (1, 0))
-    assert np.allclose(line.base, (0, 0))
-    assert np.allclose(line.direction, (1, 0))
-
-
-def test_line_through_coincident_rejected():
+def test_line_zero_direction_rejected():
     with pytest.raises(ValueError):
-        line_through((1, 1), (1, 1))
+        Line((1, 1), (0, 0))
 
 
 def test_point_on_line():
-    line = line_through((0, 0, 0), (2, 2, 2))
+    line = Line((0, 0, 0), (2, 2, 2))
     assert point_on_line(line, (1, 1, 1))
-    diag = line_through((0, 0), (1, 1))
+    diag = Line((0, 0), (1, 1))
     assert point_on_line(diag, (2, 2.000000001))
     assert not point_on_line(diag, (2, 3))
 
 
 def test_medians_concurrent_at_centroid():
     V = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-    medians = [line_through(V[i], (V[(i + 1) % 3] + V[(i + 2) % 3]) / 2)
+    medians = [Line(V[i], (V[(i + 1) % 3] + V[(i + 2) % 3]) / 2 - V[i])
                for i in range(3)]
     p = lines_concurrent(medians)
     assert np.allclose(p, [1 / 3, 1 / 3])
@@ -47,36 +38,6 @@ def test_all_parallel_coincident_raises():
         lines_concurrent([l1, l2])
 
 
-def test_divide_internally():
-    assert np.allclose(divide_internally(Segment((0, 0), (3, 0)), 1, 2), (1, 0))
-    assert np.allclose(divide_internally(Segment((0, 0), (1, 1)), 1, 1), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        divide_internally(Segment((0, 0), (1, 1)), -1, 2)
-
-
-def test_divide_ratio_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b = rng.normal(size=(2, 3))
-        m, n = rng.uniform(0.1, 5, size=2)
-        p = divide_internally(Segment(a, b), m, n)
-        t = np.linalg.norm(p - a) / np.linalg.norm(b - p)
-        assert t == pytest.approx(m / n, rel=1e-12)
-
-
-def test_homothety():
-    assert np.allclose(homothety((0, 0), -1, (1, 2)), (-1, -2))
-    assert np.allclose(homothety((1, 1), 2, (2, 1)), (3, 1))
-
-
-def test_homothety_inverse():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        c, p = rng.normal(size=(2, 3))
-        r = rng.uniform(0.2, 4) * rng.choice([-1, 1])
-        assert np.allclose(homothety(c, r, homothety(c, 1 / r, p)), p, atol=1e-12)
-
-
 def test_concurrency_translation_equivariant_and_permutation_invariant():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -92,27 +53,7 @@ def test_concurrency_translation_equivariant_and_permutation_invariant():
         assert np.allclose(lines_concurrent(shifted), q + v, atol=1e-8)
 
 
-def test_coordinate_hyperplanes_meet_at_origin():
-    hs = [Hyperplane((0, 0, 0), [(0, 1, 0), (0, 0, 1)]),
-          Hyperplane((0, 0, 0), [(1, 0, 0), (0, 0, 1)]),
-          Hyperplane((0, 0, 0), [(1, 0, 0), (0, 1, 0)])]
-    assert np.allclose(hyperplanes_intersection(hs), (0, 0, 0))
-
-
-def test_parallel_hyperplanes_none():
-    hs = [Hyperplane((0, 0, 0), [(1, 0, 0), (0, 1, 0)]),
-          Hyperplane((0, 0, 1), [(1, 0, 0), (0, 1, 0)])]
-    assert hyperplanes_intersection(hs) is None
-
-
-def test_rank_deficient_raises():
-    hs = [Hyperplane((0, 0, 0), [(1, 0, 0), (0, 1, 0)]),
-          Hyperplane((0, 0, 0), [(1, 0, 0), (0, 1, 0)])]
-    with pytest.raises(NotInGeneralPosition):
-        hyperplanes_intersection(hs)
-
-
 def test_hyperplane_contains():
     h = Hyperplane((1, 0, 0), [(0, 1, 0), (0, 0, 1)])
-    assert hyperplane_contains(h, (1, 5, -3))
-    assert not hyperplane_contains(h, (1.1, 0, 0))
+    assert abs((np.array([1, 5, -3]) - h.base) @ h.normal()) <= 1e-12
+    assert abs((np.array([1.1, 0, 0]) - h.base) @ h.normal()) == pytest.approx(0.1)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from minkcenters import (Norm, Simplex, complementary_point, feuerbach_center,
-                         feuerbach_incidence_points, full_report, homothety,
-                         hyperplane_contains, m_hyperplanes, monge_lines,
-                         monge_point, point_on_line, solve_circumcenter)
-from minkcenters.simplex import centroid, euclid_orthocenter, face_centroid
-from minkcenters.verify import random_orthocentric_simplex, random_simplex
+from minkcenters import (Norm, Simplex, complementary_point, euler_point, full_report,
+                         m_hyperplanes, monge_lines, monge_point, point_on_line,
+                         solve_circumcenter)
+from minkcenters.simplex import euclid_orthocenter, face_centroid
+from minkcenters.verify import (random_orthocentric_simplex, random_simplex,
+                                simplex_claims)
 
 EUCL = Norm.euclidean()
 L1 = Norm.lp(1)
@@ -16,6 +16,29 @@ L1 = Norm.lp(1)
 TRIRECT = Simplex([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]])
 M_TRIRECT = np.array([1.0, 1.0, 1.0])
 UNIT_TRIANGLE = Simplex([[1, 0], [0, 1], [-1, 0]])
+REGULAR = Simplex([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+
+def centroid(T):
+    return T.vertices.mean(axis=0)
+
+
+def contains(h, p):
+    return abs((p - h.base) @ h.normal()) <= 1e-9 * max(1.0, np.linalg.norm(p - h.base))
+
+
+class TestEulerPoint:
+    def test_family_on_trirectangular(self):
+        V = TRIRECT.vertices
+        for k, expected in ((4, (0.5, 0.5, 0.5)), (3, (1 / 3, 1 / 3, 1 / 3)),
+                            (2, (0, 0, 0)), (1, (-1, -1, -1))):
+            assert np.allclose(euler_point(V, M_TRIRECT, k), expected), k
+
+    def test_centroid_independent_of_reference_point(self):
+        rng = np.random.default_rng(1)
+        V = rng.normal(size=(5, 4))
+        for _ in range(5):
+            assert np.allclose(euler_point(V, rng.normal(size=4), 5), V.mean(axis=0))
 
 
 class TestMongePoint:
@@ -55,34 +78,44 @@ class TestComplementaryPoint:
 
 class TestFeuerbach:
     def test_trirectangular(self):
-        F, r = feuerbach_center(TRIRECT, M_TRIRECT, EUCL)
+        rep = full_report(EUCL, TRIRECT, M_TRIRECT)
+        F, r = rep.F_M, rep.feuerbach_radius
         assert np.allclose(F, (1 / 3, 1 / 3, 1 / 3))
         assert r == pytest.approx(math.sqrt(3) / 3)
-        G0 = face_centroid(TRIRECT, [1, 2, 3])
+        G0 = rep.facet_centroids[0]
+        assert np.allclose(G0, face_centroid(TRIRECT, [1, 2, 3]))
         assert np.allclose(G0, (2 / 3, 2 / 3, 2 / 3))
         assert np.linalg.norm(G0 - F) == pytest.approx(math.sqrt(3) / 3)
+        assert len(rep.facet_centroids + rep.division_points) == 2 * (TRIRECT.dim + 1)
 
     def test_non_circumcenter_rejected(self):
         with pytest.raises(ValueError, match="circumcenter"):
-            feuerbach_center(TRIRECT, (0, 0, 0), EUCL)
+            full_report(EUCL, TRIRECT, (0, 0, 0))
 
     def test_l1_unit_triangle(self):
-        F, r = feuerbach_center(UNIT_TRIANGLE, (0, 0), L1)
+        rep = full_report(L1, UNIT_TRIANGLE, (0, 0))
+        F, r = rep.F_M, rep.feuerbach_radius
         assert np.allclose(F, (0, 0.5))
         assert r == pytest.approx(0.5)
         assert L1(np.array([-0.5, 0.5]) - F) == pytest.approx(0.5)
-        facet_centroids, division_points = feuerbach_incidence_points(
-            UNIT_TRIANGLE, (0, 0), L1)
-        for p in facet_centroids + division_points:
+        for p in rep.facet_centroids + rep.division_points:
             assert L1(np.asarray(p) - F) == pytest.approx(0.5, abs=1e-12)
 
     def test_division_points_at_centroid_center(self):
         # M = G makes L^M_i = G + (A_i - G)/d
-        regular = Simplex([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        G = centroid(regular)
-        _, division_points = feuerbach_incidence_points(regular, G, EUCL)
+        G = centroid(REGULAR)
+        division_points = full_report(EUCL, REGULAR, G).division_points
         for i, L in enumerate(division_points):
-            assert np.allclose(L, G + (regular.vertices[i] - G) / 3)
+            assert np.allclose(L, G + (REGULAR.vertices[i] - G) / 3)
+
+    def test_division_points_divide_monge_to_vertex(self):
+        # L^M_i divides [N_M, A_i] internally in the ratio 1:(d-1)
+        rng = np.random.default_rng(2)
+        for d in (2, 3, 4):
+            T = random_simplex(d, rng)
+            rep = full_report(Norm.lp(3), T)
+            for A, L in zip(T.vertices, rep.division_points):
+                assert np.allclose(L, rep.N_M + (A - rep.N_M) / d, atol=1e-12)
 
 
 class TestMongeLines:
@@ -107,14 +140,14 @@ class TestMHyperplanes:
         planes = m_hyperplanes(TRIRECT, M_TRIRECT)
         N = monge_point(TRIRECT, M_TRIRECT)
         assert len(planes) >= 3
-        assert all(hyperplane_contains(h, N) for h in planes)
+        assert all(contains(h, N) for h in planes)
 
     def test_d2_degenerate_lines(self):
         M = np.array([0.0, 0.0])
         planes = m_hyperplanes(UNIT_TRIANGLE, M)
         N = monge_point(UNIT_TRIANGLE, M)
         assert len(planes) >= 2
-        assert all(hyperplane_contains(h, N) for h in planes)
+        assert all(contains(h, N) for h in planes)
 
     def test_skip_at_midpoint(self):
         mid = face_centroid(TRIRECT, [0, 1])
@@ -134,8 +167,7 @@ class TestFullReport:
             assert value == pytest.approx(0, abs=1e-10), key
 
     def test_regular_simplex_collapses(self):
-        regular = Simplex([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        rep = full_report(EUCL, regular)
+        rep = full_report(EUCL, REGULAR)
         assert rep.collapsed
         assert rep.euler_line is None
         for p in (rep.G, rep.N_M, rep.P_M, rep.F_M):
@@ -149,7 +181,7 @@ class TestFullReport:
         for _ in range(20):
             u = rng.normal(size=3)
             Q = rep.M + rep.R * u / np.linalg.norm(u)
-            image = homothety(rep.G, -1 / d, Q)
+            image = rep.G - (Q - rep.G) / d
             assert np.linalg.norm(image - rep.F_M) == pytest.approx(rep.R / d, abs=1e-9)
             # equivalently: the 1:(d-1) division point of [N_M, Q]
             P = rep.N_M + (Q - rep.N_M) / d
@@ -176,3 +208,24 @@ class TestFullReport:
             M = solve_circumcenter(EUCL, T).center
             H = euclid_orthocenter(T)
             assert np.allclose(monge_point(T, M), H, atol=1e-8 * T.diameter)
+
+
+class TestSimplexClaims:
+    def test_trirectangular_claims_hold(self):
+        claims = simplex_claims(EUCL, TRIRECT, M_TRIRECT)
+        assert set(claims) == {
+            "circumcenter_selfconsistent", "monge_concurrency", "m_hyperplane_incidence",
+            "m_hyperplane_count", "euler_ratios", "euler_collinear", "feuerbach_incidence"}
+        assert claims["m_hyperplane_count"] <= 0
+        for claim in set(claims) - {"m_hyperplane_count"}:
+            assert 0 <= claims[claim] <= 1e-10, claim
+
+    def test_non_circumcenter_checks_only_self_consistency(self):
+        claims = simplex_claims(EUCL, TRIRECT, (0, 0, 0))
+        assert list(claims) == ["circumcenter_selfconsistent"]
+        assert claims["circumcenter_selfconsistent"] > 1e-9
+
+    def test_collapsed_euler_line_skips_euler_claims(self):
+        claims = simplex_claims(EUCL, REGULAR, centroid(REGULAR))
+        assert "euler_ratios" not in claims and "euler_collinear" not in claims
+        assert claims["feuerbach_incidence"] <= 1e-10

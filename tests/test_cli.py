@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,20 @@ class TestVerify:
         assert main(["verify", "--trials", "0"]) == EXIT_INVALID
         assert "empty suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite,message", [("simplex", "simplex dimensions"),
+                                               ("polygon", "polygon degrees")])
+    def test_too_small_dims_invalid(self, capsys, suite, message):
+        argv = ["verify", "--suite", suite, "--dims", "1", "--trials", "1"]
+        assert main(argv) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+    def test_nonsmooth_norms_pass_without_smooth_claim(self, capsys):
+        code = main(["verify", "--suite", "simplex", "--norms", "linf", "--dims", "2",
+                     "--trials", "10"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "smooth_solver_success" not in out
+
     def test_deterministic_output(self, capsys):
         args = ["verify", "--suite", "orthogonality", "--trials", "10", "--seed", "7"]
         main(args)
@@ -153,3 +171,17 @@ class TestFigure:
         inst = write_instance(tmp_path / "t.json", SIMPLEX_EUCL)
         assert main(["figure", inst, "--out", str(tmp_path / "f.svg")]) == EXIT_INVALID
         assert "planar" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    # scipy.spatial, scipy.ndimage and scipy.optimize load only on the
+    # polyhedral, grid-oracle and non-Euclidean solver paths
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, minkcenters.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

@@ -74,6 +74,13 @@ class TestIsosceles:
         # ||(1.5, 1)||_inf = 1.5 vs ||(0.5, -1)||_inf = 1
         assert not is_isosceles_orthogonal(Norm.lp(math.inf), (1, 0), (0.5, 1))
 
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_homogeneous(self, scale):
+        # a 45 degree pair is rejected at every scale, as Birkhoff rejects it
+        x, y = scale * np.array([1.0, 0.0]), scale * np.array([1.0, 1.0])
+        assert not is_isosceles_orthogonal(Norm.euclidean(), x, y)
+        assert not is_birkhoff_orthogonal(Norm.euclidean(), x, y)
+
     @settings(max_examples=50, deadline=None)
     @given(vectors(3), vectors(3))
     def test_symmetric(self, x, y):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minkcenters import (CyclicPolygon, Norm, Tolerances, parallelepiped_lift,
-                         polygon_centers, sample_cyclic_polygon,
-                         subpolygon_family, verify_polygon_theorems)
+                         sample_cyclic_polygon, subpolygon_family,
+                         verify_polygon_theorems)
 
 EUCL = Norm.euclidean()
 L1 = Norm.lp(1)
@@ -18,6 +18,11 @@ def euclidean_polygon(angles_deg, M=(0, 0), R=1.0):
 
 
 PENTAGON = euclidean_polygon([0, 50, 130, 200, 280])
+
+
+def polygon_centers(P):
+    rep = subpolygon_family(P)
+    return rep.G, rep.F_M, rep.N_M, rep.P_M, rep.C_M
 
 
 def test_square_all_centers_coincide():
@@ -35,6 +40,14 @@ def test_pentagon_center_formulas():
     assert np.allclose(N, M + s / 3)
     assert np.allclose(P, M + s)
     assert np.allclose(C, M + s / 2)
+    rep = subpolygon_family(PENTAGON)
+    for i, v in enumerate(PENTAGON.vertices):
+        r = v - M
+        assert np.allclose(rep.sub_complementary[i], P - r)
+        assert np.allclose(rep.sub_spatial[i], C - r / 2)
+        assert np.allclose(rep.sub_monge[i], M + (s - r) / 2)
+        assert np.allclose(rep.sub_centroids[i], (PENTAGON.vertices.sum(axis=0) - v) / 4)
+    assert np.allclose(rep.circles["sub_monge"][0], M + s / 2)
 
 
 def test_cm_is_midpoint_of_mp():

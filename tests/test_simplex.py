@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from minkcenters import (Simplex, centroid, euclid_is_orthocentric,
-                         euclid_orthocenter, face_centroid, quasi_median)
-from minkcenters.simplex import opposite_edge, ridge_edge_pairs
+from minkcenters import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
+                         euler_point, face_centroid)
+from minkcenters.simplex import ridge_edge_pairs
 from minkcenters.verify import random_simplex
 
 TRIRECT = Simplex([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]])
+
+
+def centroid(T, M=None):
+    """The k = d+1 member of the Euler family, for any reference point M."""
+    return euler_point(T.vertices, np.zeros(T.dim) if M is None else M, T.dim + 1)
+
+
+def quasi_median(T, ridge):
+    """(ridge centroid, opposite edge midpoint) from ridge_edge_pairs."""
+    edge = dict(ridge_edge_pairs(T))[tuple(ridge)]
+    return face_centroid(T, ridge), face_centroid(T, edge)
 
 
 def test_degenerate_rejected():
@@ -17,6 +28,7 @@ def test_degenerate_rejected():
 def test_centroid_examples():
     assert np.allclose(centroid(Simplex([[0, 0], [1, 0], [0, 1]])), (1 / 3, 1 / 3))
     assert np.allclose(centroid(TRIRECT), (0.5, 0.5, 0.5))
+    assert np.allclose(centroid(TRIRECT, (1, -2, 5)), (0.5, 0.5, 0.5))
     regular = Simplex([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     assert np.allclose(centroid(regular), (0, 0, 0))
 
@@ -37,16 +49,16 @@ def test_invalid_faces():
 
 
 def test_quasi_median_endpoints():
-    qm = quasi_median(TRIRECT, [2, 3])
-    assert np.allclose(qm.a, (0, 1, 1))
-    assert np.allclose(qm.b, (1, 0, 0))
+    a, b = quasi_median(TRIRECT, [2, 3])
+    assert np.allclose(a, (0, 1, 1))
+    assert np.allclose(b, (1, 0, 0))
 
 
 def test_quasi_median_is_median_for_triangles():
     T = Simplex([[0, 0], [1, 0], [0, 1]])
-    qm = quasi_median(T, [2])
-    assert np.allclose(qm.a, (0, 1))
-    assert np.allclose(qm.b, (0.5, 0))  # opposite edge midpoint
+    a, b = quasi_median(T, [2])
+    assert np.allclose(a, (0, 1))
+    assert np.allclose(b, (0.5, 0))  # opposite edge midpoint
 
 
 def test_centroid_divides_quasi_medians():
@@ -56,12 +68,12 @@ def test_centroid_divides_quasi_medians():
         T = random_simplex(d, rng)
         G = centroid(T)
         for ridge, _ in ridge_edge_pairs(T):
-            qm = quasi_median(T, ridge)
-            u = qm.b - qm.a
-            t = (G - qm.a) @ u / (u @ u)
+            a, b = quasi_median(T, ridge)
+            u = b - a
+            t = (G - a) @ u / (u @ u)
             assert abs(t - 2 / (d + 1)) <= 1e-10
             # off-segment residual
-            assert np.linalg.norm(G - (qm.a + t * u)) <= 1e-10 * T.diameter
+            assert np.linalg.norm(G - (a + t * u)) <= 1e-10 * T.diameter
 
 
 def test_centroid_affine_equivariant():
@@ -71,11 +83,12 @@ def test_centroid_affine_equivariant():
         A = rng.normal(size=(d, d)) + 2 * np.eye(d)
         b = rng.normal(size=d)
         phiT = Simplex(T.vertices @ A.T + b)
-        assert np.allclose(centroid(phiT), A @ centroid(T) + b, atol=1e-10)
+        M = rng.normal(size=d)
+        assert np.allclose(centroid(phiT, A @ M + b), A @ centroid(T, M) + b, atol=1e-10)
 
 
 def test_opposite_edge():
-    assert opposite_edge(TRIRECT, (2, 3)) == (0, 1)
+    assert dict(ridge_edge_pairs(TRIRECT))[(2, 3)] == (0, 1)
 
 
 class TestOrthocentricity:
