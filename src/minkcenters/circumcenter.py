@@ -1,21 +1,24 @@
 """Circumcenter search for simplices under arbitrary norms.
 
 A circumcenter is a point equidistant (in the ambient norm) from every
-vertex.  Existence is guaranteed for smooth norms; for non-smooth norms a
-simplex may have several circumcenters or none, so a negative answer here is
-always "none found at tolerance", never a nonexistence certificate.
+vertex.  Every simplex has one under a smooth norm; under a non-smooth norm
+a simplex may have a whole flat set of circumcenters, or none.
 
-The solver minimizes
+Each norm class has one solver path:
 
-    phi(M) = sum_i (||A_i - M|| - rho(M))^2,   rho(M) = mean_i ||A_i - M||,
+* Euclidean: an exact linear solve.
+* Polyhedral (l_1, l_inf, polytope unit balls; every non-smooth norm here):
+  an exact combinatorial solve over the vertices of one polyhedron, the
+  epigraph of max_i ||A_i - M||, enumerated with one convex hull (see
+  ``_polyhedral_center``).  It returns the minimum-radius circumcenter, and
+  status "none" decides that no circumcenter exists.
+* Smooth l_p: a multi-start least-squares minimisation of
 
-whose zero set is exactly the circumcenter set.  It multi-starts from the
-Euclidean circumcenter, the centroid, the vertices, and seeded random
-perturbations.  Smooth norms get a derivative-free least-squares polish;
-non-smooth norms use Nelder-Mead descent.  When the center set is flat
-(non-strictly-convex norms) a penalized second phase slides the found point
-to the minimum-radius representative, which makes the reported center
-deterministic and canonical.
+      phi(M) = sum_i (||A_i - M|| - rho(M))^2,   rho(M) = mean_i ||A_i - M||,
+
+  whose zero set is the circumcenter set, started from the Euclidean
+  circumcenter, the centroid, the vertices and seeded random perturbations.
+  Status "not_found" means only that every start failed at tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ __all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle
 
 @dataclass(frozen=True)
 class CircumResult:
-    status: str  # "found" | "not_found"
+    """status is "found", "none" (decided: T has no circumcenter; polyhedral
+    norms only) or "not_found" (every smooth-solver start failed).  residual
+    is the equidistance defect max_i | ||A_i - M|| - R | at the center; for
+    "none" it is the defect at the centroid, for "not_found" the best
+    start's sqrt(phi)."""
+
+    status: str
     center: np.ndarray | None
     radius: float | None
     residual: float
@@ -62,60 +71,81 @@ def _euclidean_center(V):
     return np.linalg.solve(A, b) if A.shape[0] == A.shape[1] else np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def _phi(norm, V):
-    def phi(M):
-        dd = norm(V - M)
-        return float(np.sum((dd - dd.mean()) ** 2))
-
-    return phi
+def _result(norm, V, M, starts_used):
+    dd = norm(V - M)
+    return CircumResult("found", M, float(dd.mean()),
+                        float(np.abs(dd - dd.mean()).max()), starts_used)
 
 
-def _nelder_mead(f, x0, scale, maxiter):
-    from scipy.optimize import minimize
+def _polyhedral_center(norm, T, tol):
+    """Minimum-radius circumcenter under a polyhedral norm, or None if none exists.
 
-    return minimize(f, x0, method="Nelder-Mead",
-                    options=dict(xatol=1e-14 * scale, fatol=0.0,
-                                 maxiter=maxiter, adaptive=True))
+    With ||x|| = max_f F_f.x and h_f = max_i F_f.A_i, vertex A_i owns facet f
+    when F_f.A_i = h_f.  P = {(M, R) : F_f.M + R >= h_f for all f} is the
+    epigraph of max_i ||A_i - M||, and M is a circumcenter iff (M, R) lies on
+    a face of P whose tight facets include one owned facet per vertex.  Tight
+    sets only grow from a face to its vertices, so the least radius is
+    reached at a vertex of P.  Those vertices come from one convex hull: with
+    slacks s_f > 0 at an interior point z0, P - z0 = {y : a_f.y <= 1} for the
+    polar points a_f = -(F_f, 1)/s_f, and each facet n.x = 1 of
+    conv(0, a_1, ...) that avoids the origin is the vertex y = n.  Ties in
+    the least radius go to the vertex nearest the centroid, and the winner is
+    re-solved from its tight rows.  Ownership and tightness are read at
+    0.5 * eps_geom * diameter.
+    """
+    from scipy.spatial import ConvexHull
 
-
-def _min_radius_polish(norm, V, x0, scale, eps_geom, maxiter):
-    """Slide along the (possibly flat) circumcenter set toward minimal radius."""
-    wall = 0.5 * eps_geom * scale
-
-    def g(M):
-        dd = norm(V - M)
-        rho = dd.mean()
-        excess = np.abs(dd - rho).max() - wall
-        return float(rho + (1e6 * max(excess, 0.0)))
-
-    x = x0
-    for _ in range(2):
-        res = _nelder_mead(g, x, scale, maxiter)
-        if res.fun < g(x):
-            x = res.x
-    return x
+    c = T.vertices.mean(axis=0)
+    V = T.vertices - c  # centred, so every answer is translation-equivariant
+    eps = 0.5 * tol.eps_geom * T.diameter
+    F = norm.facets(T.dim)
+    FA = F @ V.T
+    h = FA.max(axis=1)
+    owns = FA >= h[:, None] - eps  # (facets, vertices)
+    if not owns.any(axis=0).all():
+        return None
+    Ft = np.hstack([F, np.ones((len(F), 1))])
+    z0 = np.append(np.zeros(T.dim), h.max() + T.diameter)  # strictly inside P
+    polar = np.vstack([np.zeros(T.dim + 1), -Ft / (Ft @ z0 - h)[:, None]])
+    # Q12 tolerates the wide merges that nearly parallel polytope facets cause
+    eq = ConvexHull(polar, qhull_options="Qx Q12").equations
+    eq = eq[eq[:, -1] < -1e-12 * np.abs(polar).max()]  # facets through 0 are rays of P
+    Z = z0 + eq[:, :-1] / -eq[:, -1:]
+    tight = np.abs(Z @ Ft.T - h) <= eps  # (P-vertices, facets)
+    ok = (tight @ owns).all(axis=1)
+    if not ok.any():
+        return None
+    Z, tight = Z[ok], tight[ok]
+    least = np.flatnonzero(Z[:, -1] <= Z[:, -1].min() + eps)
+    k = least[np.argmin(np.linalg.norm(Z[least, :-1], axis=1))]
+    z = np.linalg.lstsq(Ft[tight[k]], h[tight[k]], rcond=None)[0]
+    return c + z[:-1]
 
 
 def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     """Locate a circumcenter of T under the given norm.
 
-    Returns a CircumResult; "found" requires phi <= (eps_geom * diameter)^2.
-    The Euclidean norm bypasses optimization with an exact linear solve.
+    Euclidean: one exact linear solve.  Polyhedral (non-smooth) norms: the
+    exact minimum-radius center, or status "none" when no center exists.
+    Smooth l_p: multi-start least squares, "found" when
+    phi <= (eps_geom * diameter)^2 and "not_found" when every start fails.
     """
     V = T.vertices
-    d = T.dim
-    scale = T.diameter
-    found_tol = (tol.eps_geom * scale) ** 2
-    phi = _phi(norm, V)
-
     if norm.kind == "euclidean":
-        M = _euclidean_center(V)
-        dd = norm(V - M)
-        return CircumResult("found", M, float(dd.mean()),
-                            float(np.abs(dd - dd.mean()).max()), 1)
+        return _result(norm, V, _euclidean_center(V), 1)
+
+    if not norm.smooth:
+        M = _polyhedral_center(norm, T, tol)
+        if M is None:
+            dd = norm(V - V.mean(axis=0))
+            return CircumResult("none", None, None, float(np.abs(dd - dd.mean()).max()), 1)
+        return _result(norm, V, M, 1)
 
     from scipy.optimize import least_squares
 
+    d = T.dim
+    scale = T.diameter
+    found_tol = (tol.eps_geom * scale) ** 2
     rng = np.random.default_rng(0)
     starts = [_euclidean_center(V), V.mean(axis=0)] + list(V)
     # 5 random starts; with the d+3 fixed starts: 8+d in total
@@ -126,26 +156,9 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     starts_used = 0
     for s in starts:
         starts_used += 1
-        x = np.asarray(s, dtype=float)
-        if norm.smooth:
-            out = least_squares(res_fun, x, xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                                max_nfev=tol.max_iters * d)
-            x, f = out.x, float(np.sum(out.fun ** 2))
-        else:
-            # cheap first pass; refine only starts that look convergent
-            f = phi(x)
-            res = _nelder_mead(phi, x, scale, 60 * d)
-            if res.fun < f:
-                x, f = res.x, float(res.fun)
-            if f <= (1e-5 * scale) ** 2:
-                for _ in range(3):
-                    if f <= 0.25 * found_tol:
-                        break
-                    res = _nelder_mead(phi, x, scale, tol.max_iters // 2 * d)
-                    if res.fun < f:
-                        x, f = res.x, float(res.fun)
-                    else:
-                        break
+        out = least_squares(res_fun, np.asarray(s, dtype=float), xtol=3e-16, ftol=3e-16,
+                            gtol=3e-16, max_nfev=tol.max_iters * d)
+        x, f = out.x, float(np.sum(out.fun ** 2))
         if f < best_f:
             best_x, best_f = x, f
         if best_f <= found_tol:
@@ -153,15 +166,7 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
 
     if best_f > found_tol:
         return CircumResult("not_found", None, None, float(np.sqrt(best_f)), starts_used)
-
-    if not norm.smooth:
-        polished = _min_radius_polish(norm, V, best_x, scale, tol.eps_geom,
-                                      tol.max_iters * d)
-        if phi(polished) <= found_tol:
-            best_x = polished
-    dd = norm(V - best_x)
-    return CircumResult("found", best_x, float(dd.mean()),
-                        float(np.abs(dd - dd.mean()).max()), starts_used)
+    return _result(norm, V, best_x, starts_used)
 
 
 def _make_residual(norm, V):

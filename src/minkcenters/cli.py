@@ -5,7 +5,8 @@ Subcommands:
     verify   -- run the randomized theorem-verification suites
     figure   -- emit an SVG figure for a planar instance
 
-Exit codes: 0 success, 1 invalid input, 2 circumcenter not found.  The
+Exit codes: 0 success, 1 invalid input or usage error, 2 no circumcenter
+(none exists under a polyhedral norm, or the smooth solver found none).  The
 default incidence tolerance can be overridden with the MINKCENTERS_EPS_GEOM
 environment variable or the --tol flag.
 """
@@ -13,6 +14,7 @@ environment variable or the --tol flag.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -30,9 +32,16 @@ EXIT_INVALID = 1
 EXIT_NO_CENTER = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means "no circumcenter"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="minkcenters",
-                                description="Simplex and polygon centers in normed spaces")
+    p = _Parser(prog="minkcenters", description="Simplex and polygon centers in normed spaces")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -89,6 +98,9 @@ def _simplex_report(inst, assume_center):
         result = solve_circumcenter(inst.norm, T, tol)
         diagnostics["solver"] = {"status": result.status, "residual": result.residual,
                                  "starts_used": result.starts_used}
+        if result.status == "none":
+            print("error: no circumcenter exists under this polyhedral norm", file=sys.stderr)
+            return None, EXIT_NO_CENTER
         if not result.found:
             print("error: no circumcenter found at tolerance", file=sys.stderr)
             return None, EXIT_NO_CENTER
@@ -175,8 +187,24 @@ def cmd_figure(args):
     return EXIT_OK
 
 
+def _join_negative_points(argv):
+    """'--assume-center -1,0' -> '--assume-center=-1,0'.
+
+    argparse reads a value that starts with '-' as an option unless it is a
+    plain number, and "-1,0" is not one.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--assume-center" and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_points(argv))
     try:
         if args.command == "centers":
             return cmd_centers(args)

@@ -157,6 +157,25 @@ class Norm:
         u = x / nx
         return (np.sign(u) * np.abs(u) ** (self.p - 1.0))[None, :]
 
+    def facets(self, d):
+        """Rows F_f with ||x|| = max_f F_f.x on R^d (polyhedral kinds only).
+
+        l_inf gives +-e_k, l_1 the 2^d sign vectors (d <= 7), and a polytope
+        norm its facet functionals.  The l_1 and l_inf rows are built on each
+        call, not stored on the norm.
+        """
+        if self.smooth:
+            raise ValueError(f"{self!r} is smooth and has no facets")
+        if self.kind == "polyhedral":
+            if d != self.dim:
+                raise ValueError(f"dimension {d} != norm dimension {self.dim}")
+            return self._facets
+        if math.isinf(self.p):
+            return np.vstack([np.eye(d), -np.eye(d)])
+        if d > 7:
+            raise ValueError("polyhedral l1 norms are supported for d <= 7")
+        return np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+
     @property
     def smooth(self):
         """True when the unit sphere has a unique supporting line everywhere.

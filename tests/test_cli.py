@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minkcenters import CircumResult, cli
 from minkcenters.cli import EXIT_INVALID, EXIT_NO_CENTER, EXIT_OK, main
 
 
@@ -67,10 +68,37 @@ class TestCenters:
         assert main(["centers", inst, "--assume-center", "0.3,0.1"]) == EXIT_NO_CENTER
         assert "not a circumcenter" in capsys.readouterr().err
 
+    def test_assume_center_negative_coordinate(self, tmp_path, capsys):
+        obj = {"norm": {"kind": "lp", "p": "inf"},
+               "problem": {"simplex": {"vertices": [[0, 0], [-1, 1], [-2, 0]]}}}
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst, "--assume-center", "-1,0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["report"]["M"] == [-1, 0]
+
     def test_no_center_exit_code(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "t.json", NO_CENTER_L1)
         assert main(["centers", inst]) == EXIT_NO_CENTER
-        assert "no circumcenter" in capsys.readouterr().err
+        assert "no circumcenter exists" in capsys.readouterr().err
+
+    def test_smooth_miss_has_its_own_message(self, tmp_path, capsys, monkeypatch):
+        miss = CircumResult("not_found", None, None, 0.1, 11)
+        monkeypatch.setattr(cli, "solve_circumcenter", lambda *args: miss)
+        inst = write_instance(tmp_path / "t.json", SIMPLEX_EUCL)
+        assert main(["centers", inst]) == EXIT_NO_CENTER
+        assert "no circumcenter found at tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["centers"], [], ["centers", "x.json", "--bogus"]])
+    def test_usage_error_exits_invalid(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["centers", "--help"]])
+    def test_help_and_version_exit_ok(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
 
     def test_degenerate_simplex_invalid(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "t.json", DEGENERATE)
@@ -175,7 +203,7 @@ class TestFigure:
 
 def test_cli_import_loads_no_scipy_submodules():
     # scipy.spatial, scipy.ndimage and scipy.optimize load only on the
-    # polyhedral, grid-oracle and non-Euclidean solver paths
+    # polyhedral, grid-oracle and smooth-solver paths
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

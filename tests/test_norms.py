@@ -63,6 +63,26 @@ class TestEval:
             Norm.from_json({"kind": "lp", "p": 2, "bogus": 1})
 
 
+class TestFacets:
+    @pytest.mark.parametrize("norm, d, count", [
+        (Norm.lp(math.inf), 3, 6), (Norm.lp(1), 3, 8), (Norm.lp(1), 7, 128),
+        (Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)]), 2, 4)])
+    def test_max_of_facets_is_the_norm(self, norm, d, count):
+        F = norm.facets(d)
+        assert F.shape == (count, d)
+        X = np.random.default_rng(0).normal(size=(50, d))
+        assert np.allclose((X @ F.T).max(axis=1), norm(X), atol=1e-12)
+
+    @pytest.mark.parametrize("norm", [Norm.euclidean(), Norm.lp(3)])
+    def test_smooth_norm_has_none(self, norm):
+        with pytest.raises(ValueError, match="smooth"):
+            norm.facets(2)
+
+    def test_polytope_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)]).facets(3)
+
+
 class TestIsosceles:
     def test_l1_axes(self):
         assert is_isosceles_orthogonal(Norm.lp(1), (1, 0), (0, 1))
