@@ -8,7 +8,7 @@ oracles and randomized verification suites.
 
 __version__ = "0.1.0"
 
-from .affine import Hyperplane, Line, lines_concurrent, point_on_line
+from .affine import Hyperplane, Line
 from .centers import (CentersReport, complementary_point, euler_point, full_report,
                       m_hyperplanes, monge_lines, monge_point)
 from .circumcenter import (CircumResult, grid_oracle_circumcenters,
@@ -27,7 +27,7 @@ from .simplex import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
 __all__ = [
     "Norm", "Tolerances", "is_isosceles_orthogonal", "is_birkhoff_orthogonal",
     "is_normal_to_hyperplane",
-    "Line", "Hyperplane", "point_on_line", "lines_concurrent",
+    "Line", "Hyperplane",
     "Simplex", "face_centroid",
     "euclid_is_orthocentric", "euclid_orthocenter",
     "CircumResult", "is_circumcenter", "solve_circumcenter",

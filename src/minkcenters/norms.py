@@ -87,7 +87,7 @@ class Norm:
         return cls("polyhedral", vertices=vertices)
 
     def _init_polyhedral(self, vertices):
-        from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, cKDTree
 
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] < 2:
@@ -111,8 +111,12 @@ class Norm:
             raise ValueError("origin is not strictly interior to the unit ball")
         self.dim = d
         self.unit_ball_vertices = V
-        # Minkowski functional: gamma(x) = max_f (a_f . x) / (-b_f)
-        self._facets = A / (-b)[:, None]
+        # Minkowski functional: gamma(x) = max_f (a_f . x) / (-b_f).  Qhull
+        # triangulates, so a facet with more than d vertices comes once per
+        # triangle; keep the first of each group of rows that agree.
+        F = A / (-b)[:, None]
+        same = cKDTree(F).query_pairs(1e-9 * np.abs(F).max(), p=np.inf, output_type="ndarray")
+        self._facets = np.delete(F, same[:, 1], axis=0)
 
     # -- evaluation --------------------------------------------------------
 

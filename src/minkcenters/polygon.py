@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affine import Line
 from .centers import _division_points, _vertex_deleted, euler_point
 from .norms import DEFAULT_TOL
 
@@ -114,13 +115,6 @@ def subpolygon_family(P):
                          midpoints=[0.5 * (v + P_M) for v in V], circles=circles)
 
 
-def _line_point_residual(a, b, x):
-    """Euclidean distance of x from the line through a, b."""
-    u = b - a
-    w = x - a
-    return abs(u[0] * w[1] - u[1] * w[0]) / np.linalg.norm(u)
-
-
 def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     """Check every incidence/concurrency claim; returns {claim: (ok, residual)}.
 
@@ -137,18 +131,24 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     def record(name, residual):
         out[name] = (bool(residual <= tol.eps_geom * R * 100), float(residual))
 
+    def record_concurrency(name, ends, X, ratio=None):
+        """Lines <A_i Q_i> through X, and X = A_i + ratio (Q_i - A_i) if given."""
+        D = np.asarray(ends) - V
+        keep = np.linalg.norm(D, axis=1) > tol.eps_geom * R
+        if keep.sum() < 2:
+            out[name] = (False, np.inf)
+            return
+        residual = max(Line(a, u).distance(X) for a, u in zip(V[keep], D[keep]))
+        if ratio is not None:
+            residual = max(residual, np.linalg.norm(X - V[keep] - ratio * D[keep], axis=1).max())
+        record(name, residual)
+
     # 5.1(a): P_M lies on every circle S(P_M^i, R)
     record("5.1a_complementary_circles",
            max(abs(norm(rep.P_M - q) - R) for q in rep.sub_complementary))
 
     # 5.1(b): lines <A_i P_M^i> concurrent in C_M
-    survivors = [(a, q) for a, q in zip(V, rep.sub_complementary)
-                 if np.linalg.norm(q - a) > tol.eps_geom * R]
-    if len(survivors) < 2:
-        out["5.1b_spatial_center_concurrency"] = (False, np.inf)
-    else:
-        record("5.1b_spatial_center_concurrency",
-               max(_line_point_residual(a, q, rep.C_M) for a, q in survivors))
+    record_concurrency("5.1b_spatial_center_concurrency", rep.sub_complementary, rep.C_M)
 
     # 5.1(c): midpoints E_i concyclic on S(C_M, R/2)
     record("5.1c_midpoint_circle",
@@ -159,15 +159,7 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
            max(abs(norm(rep.C_M - c) - R / 2) for c in rep.sub_spatial))
 
     # 5.2(a): lines <A_i N_M^i> concurrent in N_M, internal ratio (d-2):1
-    survivors = [(a, q) for a, q in zip(V, rep.sub_monge)
-                 if np.linalg.norm(q - a) > tol.eps_geom * R]
-    if len(survivors) < 2:
-        out["5.2a_monge_concurrency"] = (False, np.inf)
-    else:
-        line_res = max(_line_point_residual(a, q, rep.N_M) for a, q in survivors)
-        ratio_res = max(np.linalg.norm(rep.N_M - (a + (d - 2) / (d - 1) * (q - a)))
-                        for a, q in survivors)
-        record("5.2a_monge_concurrency", max(line_res, ratio_res))
+    record_concurrency("5.2a_monge_concurrency", rep.sub_monge, rep.N_M, (d - 2) / (d - 1))
 
     # 5.2(b): sub-centroids G_i and division points L^M_i on S(F_M, R/d)
     L = _division_points(V, P.M, d)

@@ -11,7 +11,6 @@ import itertools
 
 import numpy as np
 
-from .affine import Line, lines_concurrent
 from .norms import DEFAULT_TOL
 
 __all__ = [
@@ -95,22 +94,18 @@ def euclid_is_orthocentric(T, tol=DEFAULT_TOL):
     return True
 
 
-def _facet_normal(V, i):
-    """Euclidean normal of the facet opposite vertex i."""
-    others = np.delete(np.arange(V.shape[0]), i)
-    S = V[others[1:]] - V[others[0]]
-    _, _, vh = np.linalg.svd(S)
-    return vh[-1]
-
-
 def euclid_orthocenter(T, tol=DEFAULT_TOL):
-    """Altitude intersection of an orthocentric simplex, or None.
+    """Altitude intersection of T, or None when T is not orthocentric.
 
-    Each altitude runs through a vertex along the Euclidean normal of the
-    opposite facet; this is the independent oracle for the Monge point.
+    The altitude through A_i is perpendicular to the opposite facet, so H
+    solves (H - A_i).(A_j - A_k) = 0 for every i and every edge {j, k} of
+    that facet; one least-squares solve of the whole system gives H.  This
+    is the independent oracle for the Monge point.
     """
     if not euclid_is_orthocentric(T, tol):
         return None
-    V = T.vertices
-    altitudes = [Line(V[i], _facet_normal(V, i)) for i in range(T.dim + 1)]
-    return lines_concurrent(altitudes, tol)
+    c = T.vertices.mean(axis=0)
+    V = T.vertices - c
+    ijk = np.array([t for t in itertools.permutations(range(T.dim + 1), 3) if t[1] < t[2]])
+    U = V[ijk[:, 1]] - V[ijk[:, 2]]
+    return c + np.linalg.lstsq(U, np.sum(U * V[ijk[:, 0]], axis=1), rcond=None)[0]

@@ -8,6 +8,7 @@ at a uniform relative threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -118,29 +119,21 @@ class ClaimStats:
         return f"ClaimStats(trials={self.trials}, failures={self.failures}, max_residual={self.max_residual:.3g})"
 
 
-def _line_distance(line, p):
-    w = np.asarray(p) - line.base
-    u = line.direction / np.linalg.norm(line.direction)
-    return float(np.linalg.norm(w - (w @ u) * u))
-
-
 def _plane_distance(h, p):
     return float(abs((np.asarray(p) - h.base) @ h.normal()))
 
 
-def _norm_cycle(names, dims, seed):
-    """Instance generator: cycles through (dim, norm) combinations."""
-    rng = np.random.default_rng(seed)
-
-    def gen(i):
+def _simplex_stream(names, dims, rng):
+    """The simplex suite's instances: d cycles over dims and the norm over
+    names (polyhedral capped at d = 3); each norm, then its simplex, is drawn
+    from rng."""
+    for i in itertools.count():
         d = dims[i % len(dims)]
         name = names[(i // len(dims)) % len(names)]
         if name == "polyhedral" and d > 3:
             d = 3
         norm = parse_norm_name(name, d, rng)
-        return d, norm
-
-    return gen, rng
+        yield norm, random_simplex(d, rng)
 
 
 def suite_orthogonality(trials, seed=0, tol=None, dims=(2, 3, 4)):
@@ -204,14 +197,14 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
         return claims
     rep = full_report(norm, T, M, tol)
     N = rep.N_M
-    claims["monge_concurrency"] = max(_line_distance(l, N) for l in monge_lines(T, M, tol)) / scale
+    claims["monge_concurrency"] = max(l.distance(N) for l in monge_lines(T, M, tol)) / scale
     planes = m_hyperplanes(T, M, tol)
     claims["m_hyperplane_incidence"] = max(_plane_distance(h, N) for h in planes) / scale
     claims["m_hyperplane_count"] = float(T.dim - len(planes))
     if not rep.collapsed:
         claims["euler_ratios"] = max(v for v in rep.ratio_residuals.values()
                                      if not isinstance(v, str))
-        claims["euler_collinear"] = max(_line_distance(rep.euler_line, p)
+        claims["euler_collinear"] = max(rep.euler_line.distance(p)
                                         for p in (rep.G, rep.F_M, N, rep.P_M)) / scale
     claims["feuerbach_incidence"] = max(
         abs(norm(p - rep.F_M) - rep.feuerbach_radius)
@@ -221,8 +214,16 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
 
 def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "linf", "polyhedral"),
                   seed=0, tol=None):
+    """Claims over a batch of random simplices, cycled as in _simplex_stream.
+
+    The (norm, simplex) stream is drawn from default_rng(seed) alone, so a
+    seed always replays the same batch.  The affine maps and their reference
+    points (one per trial) and the max(trials // 5, 10) orthocentric
+    simplices come from a second generator spawned from the same seed.
+    """
     tol = tol or Tolerances()
-    gen, rng = _norm_cycle(list(norms), list(dims), seed)
+    seq = np.random.SeedSequence(seed)
+    rng, aux = np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
     stats = {k: ClaimStats() for k in
              ("circumcenter_selfconsistent", "monge_concurrency",
               "m_hyperplane_incidence", "m_hyperplane_count", "euler_ratios",
@@ -232,31 +233,29 @@ def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "
         stats["smooth_solver_success"] = ClaimStats()
     limits = {"circumcenter_selfconsistent": tol.eps_geom, "m_hyperplane_count": 0.0,
               "euler_ratios": 1e-10}
-    for i in range(trials):
-        d, norm = gen(i)
-        T = random_simplex(d, rng)
-        scale = T.diameter
-        res = solve_circumcenter(norm, T, tol)
-        if norm.smooth:
-            stats["smooth_solver_success"].add_bool(res.found)
-        if not res.found:
-            continue
-        M = res.center
-        for claim, residual in simplex_claims(norm, T, M, tol).items():
-            stats[claim].add(residual, limits.get(claim, REL_TOL))
-        # affine invariance of the two affine constructions
-        A = rng.normal(size=(d, d)) + np.eye(d) * 2
-        b = rng.normal(size=d)
+    for norm, T in itertools.islice(_simplex_stream(list(norms), list(dims), rng), trials):
+        d, scale = T.dim, T.diameter
+        # monge_point and complementary_point are affine in (T, M) for any M
+        M = aux.normal(size=d)
+        A = aux.normal(size=(d, d)) + np.eye(d) * 2
+        b = aux.normal(size=d)
         phiT = Simplex(T.vertices @ A.T + b)
         phiM = A @ M + b
         inv = max(np.linalg.norm(monge_point(phiT, phiM) - (A @ monge_point(T, M) + b)),
                   np.linalg.norm(complementary_point(phiT, phiM)
                                  - (A @ complementary_point(T, M) + b)))
         stats["affine_invariance"].add(inv / scale, REL_TOL)
+        res = solve_circumcenter(norm, T, tol)
+        if norm.smooth:
+            stats["smooth_solver_success"].add_bool(res.found)
+        if not res.found:
+            continue
+        for claim, residual in simplex_claims(norm, T, res.center, tol).items():
+            stats[claim].add(residual, limits.get(claim, REL_TOL))
     # orthocentric Euclidean cross-check, independent of the cycled norms
     eucl = Norm.euclidean()
     for _ in range(max(trials // 5, 10)):
-        T = random_orthocentric_simplex(rng)
+        T = random_orthocentric_simplex(aux)
         H = euclid_orthocenter(T, tol)
         if H is None:
             stats["orthocenter_crosscheck"].add_bool(False)

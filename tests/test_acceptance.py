@@ -2,119 +2,87 @@
 
 Each test covers one headline property, prints a single PASS/FAIL line
 (bypassing capture so the line always shows up in the run log), and asserts
-at the stated tolerance.  Criteria 1-4 share one deterministic batch of 500
-solved random simplices; the batch build doubles as the runtime budget check.
-Their residuals, and the soundness half of criterion 8, come from
-minkcenters.verify.simplex_claims, the checker behind `verify --suite simplex`.
+at the stated tolerance.  Criteria 1-4, 6, 7, 9 and the soundness half of
+criterion 8 read the ClaimStats of minkcenters.verify's suites, the same
+checkers behind `minkcenters verify`: suite_simplex(500, seed=2024), run once
+and timed against the 60 s budget, and suite_polygon(300, seed=7).
 """
 
 import math
-import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from minkcenters import (Norm, Simplex, full_report, grid_oracle_circumcenters,
-                         monge_point, complementary_point, sample_cyclic_polygon,
-                         solve_circumcenter, verify_polygon_theorems)
-from minkcenters.norms import DEFAULT_TOL
+from minkcenters import Norm, Simplex, full_report, grid_oracle_circumcenters, solve_circumcenter
 from minkcenters.simplex import euclid_orthocenter
-from minkcenters.verify import (parse_norm_name, random_orthocentric_simplex,
-                                random_simplex, regular_simplex, simplex_claims)
+from minkcenters.verify import random_simplex, regular_simplex, suite_polygon, suite_simplex
 
 EUCL = Norm.euclidean()
 
 BATCH_SIZE = 500
-BATCH_DIMS = (2, 3, 4, 5)
-BATCH_NORMS = ("euclidean", "l1.5", "l3", "linf", "polyhedral")
+POLYGONS = 300
 
 
 @pytest.fixture
-def emit(request):
+def emit(capsys):
     """One PASS/FAIL line per criterion, written past pytest's capture."""
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
 
     def _emit(number, ok, detail):
         line = f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}"
-        if reporter is not None:
-            reporter.write_line("\n" + line)
-        else:
-            print(line, file=sys.__stdout__)
+        with capsys.disabled():
+            print("\n" + line)
         assert ok, line
 
     return _emit
 
 
-@dataclass
-class Solved:
-    d: int
-    norm: Norm
-    simplex: Simplex
-    center: np.ndarray
-    claims: dict  # simplex_claims residuals
+@pytest.fixture(scope="module")
+def simplex_stats():
+    """500 random simplices, mixed dimensions and norms: solved, checked and
+    timed once."""
+    t0 = time.perf_counter()
+    stats = suite_simplex(BATCH_SIZE, seed=2024)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"simplex suite took {elapsed:.1f}s"
+    # nonexistence is expected, not dominant
+    assert stats["circumcenter_selfconsistent"].trials >= BATCH_SIZE // 2
+    return stats
 
 
 @pytest.fixture(scope="module")
-def batch():
-    """500 random simplices, mixed dimensions and norms, solved once and
-    checked once by simplex_claims (outside the timed solve budget)."""
-    rng = np.random.default_rng(2024)
-    t0 = time.perf_counter()
-    found, elapsed_budget = [], 60.0
-    for i in range(BATCH_SIZE):
-        d = BATCH_DIMS[i % len(BATCH_DIMS)]
-        name = BATCH_NORMS[(i // len(BATCH_DIMS)) % len(BATCH_NORMS)]
-        if name == "polyhedral" and d > 3:
-            d = 3
-        norm = parse_norm_name(name, d, rng)
-        T = random_simplex(d, rng)
-        res = solve_circumcenter(norm, T)
-        if res.found:
-            found.append((d, norm, T, res.center))
-    elapsed = time.perf_counter() - t0
-    assert elapsed < elapsed_budget, f"batch took {elapsed:.1f}s"
-    assert len(found) >= BATCH_SIZE // 2  # nonexistence is expected, not dominant
-    return [Solved(d, norm, T, M, simplex_claims(norm, T, M))
-            for d, norm, T, M in found]
+def polygon_stats():
+    return suite_polygon(POLYGONS, seed=7)
 
 
-def worst_claim(batch, claim):
-    """Largest residual of one claim over the batch instances that report it."""
-    return max((s.claims[claim] for s in batch if claim in s.claims), default=0.0)
+def test_criterion_1_monge_concurrency(simplex_stats, emit):
+    st = simplex_stats["monge_concurrency"]
+    emit(1, st.passed and st.max_residual <= 1e-8,
+         f"Monge lines concurrent at N_M on {st.trials} solved simplices, "
+         f"max residual {st.max_residual:.2e} (tol 1e-8 x diameter)")
 
 
-def test_criterion_1_monge_concurrency(batch, emit):
-    worst = worst_claim(batch, "monge_concurrency")
-    emit(1, worst <= 1e-8,
-         f"Monge lines concurrent at N_M on {len(batch)} solved simplices, "
-         f"max residual {worst:.2e} (tol 1e-8 x diameter)")
+def test_criterion_2_m_hyperplanes(simplex_stats, emit):
+    st = simplex_stats["m_hyperplane_incidence"]
+    # the count claim's residual is d minus the number of M-hyperplanes
+    count = simplex_stats["m_hyperplane_count"]
+    ok = st.passed and st.max_residual <= 1e-8 and count.passed and count.max_residual <= 0
+    emit(2, ok, f"M-hyperplanes contain N_M on {st.trials} solved simplices, max residual "
+         f"{st.max_residual:.2e}, max count deficit {count.max_residual:g} (need 0)")
 
 
-def test_criterion_2_m_hyperplanes(batch, emit):
-    worst = worst_claim(batch, "m_hyperplane_incidence")
-    # the count claim is d minus the number of M-hyperplanes
-    min_count = min((int(s.d - s.claims["m_hyperplane_count"]) for s in batch
-                     if "m_hyperplane_count" in s.claims), default=0)
-    ok = worst <= 1e-8 and worst_claim(batch, "m_hyperplane_count") <= 0
-    emit(2, ok, f"M-hyperplanes contain N_M, max residual {worst:.2e}, "
-         f"min count {min_count} (need >= d)")
+def test_criterion_3_euler_ratios(simplex_stats, emit):
+    st = simplex_stats["euler_ratios"]
+    emit(3, st.passed and st.max_residual <= 1e-10,
+         f"Euler-line ratios on {st.trials} non-collapsed instances, "
+         f"max relative error {st.max_residual:.2e} (tol 1e-10)")
 
 
-def test_criterion_3_euler_ratios(batch, emit):
-    worst = worst_claim(batch, "euler_ratios")
-    checked = sum("euler_ratios" in s.claims for s in batch)
-    emit(3, worst <= 1e-10 and checked > 0,
-         f"Euler-line ratios on {checked} non-collapsed instances, "
-         f"max relative error {worst:.2e} (tol 1e-10)")
-
-
-def test_criterion_4_feuerbach_sphere(batch, emit):
-    worst = worst_claim(batch, "feuerbach_incidence")
-    emit(4, worst <= 1e-8,
-         f"all 2(d+1) incidence points at norm-distance R/d from F_M, "
-         f"max relative defect {worst:.2e} (tol 1e-8)")
+def test_criterion_4_feuerbach_sphere(simplex_stats, emit):
+    st = simplex_stats["feuerbach_incidence"]
+    emit(4, st.passed and st.max_residual <= 1e-8,
+         f"all 2(d+1) incidence points at norm-distance R/d from F_M on {st.trials} "
+         f"simplices, max relative defect {st.max_residual:.2e} (tol 1e-8)")
 
 
 def test_criterion_5_worked_tetrahedron(emit):
@@ -136,38 +104,24 @@ def test_criterion_5_worked_tetrahedron(emit):
          f"F_M=(1/3,1/3,1/3), r=sqrt(3)/3, max error {worst:.2e} (tol 1e-10)")
 
 
-def test_criterion_6_orthocentric_crosscheck(emit):
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for _ in range(100):
-        T = random_orthocentric_simplex(rng)
-        M = solve_circumcenter(EUCL, T).center
-        H = euclid_orthocenter(T)
-        worst = max(worst, np.linalg.norm(monge_point(T, M) - H) / T.diameter)
-    emit(6, worst <= 1e-8,
-         f"100 orthocentric tetrahedra: Monge point = Euclidean orthocenter, "
-         f"max residual {worst:.2e} (tol 1e-8)")
+def test_criterion_6_orthocentric_crosscheck(simplex_stats, emit):
+    st = simplex_stats["orthocenter_crosscheck"]
+    emit(6, st.passed and st.trials >= 100 and st.max_residual <= 1e-8,
+         f"{st.trials} orthocentric tetrahedra: Monge point = Euclidean orthocenter, "
+         f"max residual {st.max_residual:.2e} (tol 1e-8)")
 
 
-def test_criterion_7_polygon_theorems(emit):
-    rng = np.random.default_rng(7)
-    names = ("euclidean", "l1", "linf", "l3")
-    worst, trials = 0.0, 300
-    for i in range(trials):
-        d = 3 + i % 6
-        norm = parse_norm_name(names[i % 4], 2, rng)
-        R = rng.uniform(0.5, 2.0)
-        P = sample_cyclic_polygon(norm, rng.normal(size=2), R, d + 1, rng)
-        for claim, (_, residual) in verify_polygon_theorems(P).items():
-            worst = max(worst, residual / R)
-    emit(7, worst <= 1e-8,
-         f"{trials} cyclic polygons (degrees 4-9, four norms): all incidence and "
-         f"concurrency claims, max residual {worst:.2e} (tol 1e-8 x R)")
+def test_criterion_7_polygon_theorems(polygon_stats, emit):
+    ok = all(st.passed and st.trials == POLYGONS for st in polygon_stats.values())
+    worst = max(st.max_residual for st in polygon_stats.values())
+    emit(7, ok and worst <= 1e-8,
+         f"{POLYGONS} cyclic polygons (degrees 4-9, four norms): all "
+         f"{len(polygon_stats)} incidence and concurrency claims, "
+         f"max residual {worst:.2e} (tol 1e-8 x R)")
 
 
-def test_criterion_8_solver_soundness(batch, emit):
-    sound = all(s.claims["circumcenter_selfconsistent"] <= DEFAULT_TOL.eps_geom
-                for s in batch)
+def test_criterion_8_solver_soundness(simplex_stats, emit):
+    sound = simplex_stats["circumcenter_selfconsistent"].passed
 
     rng = np.random.default_rng(8)
     successes = 0
@@ -190,25 +144,11 @@ def test_criterion_8_solver_soundness(batch, emit):
          f"+/- {dist_err:.2e}, grid oracle corroborates ({corroborated})")
 
 
-def test_criterion_9_affine_invariance(emit):
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        T = random_simplex(d, rng)
-        M = rng.normal(size=d)
-        A = rng.normal(size=(d, d)) + 2 * np.eye(d)
-        b = rng.normal(size=d)
-        phiT = Simplex(T.vertices @ A.T + b)
-        phiM = A @ M + b
-        err = max(
-            np.linalg.norm(monge_point(phiT, phiM) - (A @ monge_point(T, M) + b)),
-            np.linalg.norm(complementary_point(phiT, phiM)
-                           - (A @ complementary_point(T, M) + b)))
-        worst = max(worst, err / T.diameter)
-    emit(9, worst <= 1e-8,
-         f"monge_point and complementary_point commute with 100 random affine "
-         f"maps, max residual {worst:.2e} (tol 1e-8)")
+def test_criterion_9_affine_invariance(simplex_stats, emit):
+    st = simplex_stats["affine_invariance"]
+    emit(9, st.passed and st.trials >= BATCH_SIZE and st.max_residual <= 1e-8,
+         f"monge_point and complementary_point commute with {st.trials} random affine "
+         f"maps, max residual {st.max_residual:.2e} (tol 1e-8)")
 
 
 def test_criterion_10_collapse_detection(emit):

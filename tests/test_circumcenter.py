@@ -192,6 +192,26 @@ class TestPolyhedralExact:
         assert checked >= 300
         assert 0.2 * checked < found < 0.9 * checked  # both answers are exercised
 
+    def test_merged_polytope_facets(self):
+        # the cube and 4-cube unit balls are l_inf's: their merged facet rows
+        # give l_inf's centers; a random polytope norm keeps every hull row
+        rng = np.random.default_rng(22)
+        for d in (3, 4):
+            cube = Norm.polyhedral(list(itertools.product((1, -1), repeat=d)))
+            for _ in range(20):
+                T = integer_simplex(d, rng)
+                res, ref = solve_circumcenter(cube, T), solve_circumcenter(LINF, T)
+                assert res.status == ref.status, T.vertices
+                if ref.found:
+                    assert np.allclose(res.center, ref.center, atol=1e-12), T.vertices
+        norm = random_polyhedral_norm(2, 0)
+        for _ in range(20):
+            T = random_simplex(2, rng)
+            R, res = oracle_radius(norm, T), solve_circumcenter(norm, T)
+            assert res.found == (R is not None)
+            if res.found:
+                assert abs(res.radius - R) <= 1e-9 * T.diameter
+
     def test_linf_centers_exactly_equidistant(self):
         # an earlier penalty-wall polish left every center 0.5 eps_geom off
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from minkcenters import (Norm, Tolerances, is_birkhoff_orthogonal,
                          is_isosceles_orthogonal, is_normal_to_hyperplane)
+from minkcenters.verify import random_polyhedral_norm
 
 TOL = Tolerances()
 
@@ -66,7 +67,11 @@ class TestEval:
 class TestFacets:
     @pytest.mark.parametrize("norm, d, count", [
         (Norm.lp(math.inf), 3, 6), (Norm.lp(1), 3, 8), (Norm.lp(1), 7, 128),
-        (Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)]), 2, 4)])
+        (Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)]), 2, 4),
+        # one row per facet, not per triangle of the hull's triangulation
+        (Norm.polyhedral(list(itertools.product((1, -1), repeat=3))), 3, 6),
+        (Norm.polyhedral(list(itertools.product((1, -1), repeat=4))), 4, 8),
+        (random_polyhedral_norm(2, 0), 2, 16), (random_polyhedral_norm(3, 0), 3, 44)])
     def test_max_of_facets_is_the_norm(self, norm, d, count):
         F = norm.facets(d)
         assert F.shape == (count, d)

@@ -117,6 +117,21 @@ class TestOrthocenter:
         T = Simplex([[0, 0], [1, 0], [0, 1]])
         assert np.allclose(euclid_orthocenter(T), (0, 0), atol=1e-9)
 
+    def test_far_orthocenter_of_thin_triangle(self):
+        # H lies about 280 diameters away, where the Euclidean Monge point is
+        T = Simplex([[0.5703353931316224, -0.44270410404633015],
+                     [0.8498698970150325, 1.0125321776067526],
+                     [0.37617644888836693, -1.4341400627923468]])
+        H = euclid_orthocenter(T)
+        assert H is not None
+        assert np.allclose(H, (678.038205, -131.605385), atol=1e-5)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            u = T.vertices[j] - T.vertices[k]
+            assert abs((H - T.vertices[i]) @ u) <= 1e-9 * np.linalg.norm(H) * np.linalg.norm(u)
+        rng = np.random.default_rng(1)
+        assert all(euclid_orthocenter(random_simplex(2, rng)) is not None for _ in range(1000))
+
     def test_non_orthocentric_none(self):
         rng = np.random.default_rng(11)
         assert euclid_orthocenter(random_simplex(3, rng)) is None
