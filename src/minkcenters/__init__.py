@@ -16,8 +16,7 @@ from .circumcenter import (CircumResult, grid_oracle_circumcenters,
 from .figures import SHOW_MODES, render_figure
 from .instances import (Instance, InstanceError, dump_report, load_instance,
                         parse_instance, write_atomic)
-from .norms import (Norm, Tolerances, is_birkhoff_orthogonal,
-                    is_isosceles_orthogonal, is_normal_to_hyperplane)
+from .norms import Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import (CyclicPolygon, PolygonReport, parallelepiped_lift,
                       sample_cyclic_polygon, subpolygon_family,
                       verify_polygon_theorems)
@@ -26,7 +25,6 @@ from .simplex import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
 
 __all__ = [
     "Norm", "Tolerances", "is_isosceles_orthogonal", "is_birkhoff_orthogonal",
-    "is_normal_to_hyperplane",
     "Line", "Hyperplane",
     "Simplex", "face_centroid",
     "euclid_is_orthocentric", "euclid_orthocenter",

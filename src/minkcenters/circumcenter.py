@@ -31,6 +31,8 @@ from .norms import DEFAULT_TOL
 
 __all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle_circumcenters"]
 
+MAX_NFEV_PER_DIM = 400  # least-squares evaluation cap per start, times d
+
 
 @dataclass(frozen=True)
 class CircumResult:
@@ -51,30 +53,28 @@ class CircumResult:
         return self.status == "found"
 
 
-def _distances(norm, T, M):
-    return norm(T.vertices - np.asarray(M, dtype=float))
+def _equidistance(norm, V, M):
+    """Mean vertex distance R and equidistance defect max_i | ||V_i - M|| - R |."""
+    dd = norm(V - np.asarray(M, dtype=float))
+    R = float(dd.mean())
+    return R, float(np.abs(dd - R).max())
 
 
 def is_circumcenter(norm, T, M, tol=DEFAULT_TOL):
     """Mean vertex distance R if M is equidistant from all vertices, else None."""
-    dd = _distances(norm, T, M)
-    R = float(dd.mean())
-    if np.abs(dd - R).max() <= tol.eps_geom * T.diameter:
-        return R
-    return None
+    R, defect = _equidistance(norm, T.vertices, M)
+    return R if defect <= tol.eps_geom * T.diameter else None
 
 
 def _euclidean_center(V):
-    """Exact equidistance solve; least-squares form doubles as a generic start."""
+    """Exact Euclidean equidistance solve (d equations in d unknowns)."""
     A = 2.0 * (V[1:] - V[0])
     b = np.sum(V[1:] ** 2, axis=1) - np.sum(V[0] ** 2)
-    return np.linalg.solve(A, b) if A.shape[0] == A.shape[1] else np.linalg.lstsq(A, b, rcond=None)[0]
+    return np.linalg.solve(A, b)
 
 
 def _result(norm, V, M, starts_used):
-    dd = norm(V - M)
-    return CircumResult("found", M, float(dd.mean()),
-                        float(np.abs(dd - dd.mean()).max()), starts_used)
+    return CircumResult("found", M, *_equidistance(norm, V, M), starts_used)
 
 
 def _polyhedral_center(norm, T, tol):
@@ -137,8 +137,7 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     if not norm.smooth:
         M = _polyhedral_center(norm, T, tol)
         if M is None:
-            dd = norm(V - V.mean(axis=0))
-            return CircumResult("none", None, None, float(np.abs(dd - dd.mean()).max()), 1)
+            return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
         return _result(norm, V, M, 1)
 
     from scipy.optimize import least_squares
@@ -157,7 +156,7 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     for s in starts:
         starts_used += 1
         out = least_squares(res_fun, np.asarray(s, dtype=float), xtol=3e-16, ftol=3e-16,
-                            gtol=3e-16, max_nfev=tol.max_iters * d)
+                            gtol=3e-16, max_nfev=MAX_NFEV_PER_DIM * d)
         x, f = out.x, float(np.sum(out.fun ** 2))
         if f < best_f:
             best_x, best_f = x, f
@@ -177,12 +176,13 @@ def _make_residual(norm, V):
     return residual
 
 
-def grid_oracle_circumcenters(norm, T, grid_step, box=None, cell_cap=10_000_000):
+def grid_oracle_circumcenters(norm, T, grid_step, cell_cap=10_000_000):
     """Brute-force circumcenter candidates on a grid (d <= 3).
 
-    Returns one (point, radius) per connected cluster of grid points whose
-    equidistance defect is below 2 * grid_step.  Used to corroborate solver
-    output and to exhibit non-unique center sets.
+    The grid covers the vertices' bounding box grown by the diameter on
+    every side.  Returns one (point, radius) per connected cluster of grid
+    points whose equidistance defect is below 2 * grid_step.  Used to
+    corroborate solver output and to exhibit non-unique center sets.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -190,12 +190,8 @@ def grid_oracle_circumcenters(norm, T, grid_step, box=None, cell_cap=10_000_000)
     d = T.dim
     if d > 3:
         raise ValueError("grid oracle supports d <= 3")
-    if box is None:
-        diam = T.diameter
-        lo = V.min(axis=0) - diam
-        hi = V.max(axis=0) + diam
-    else:
-        lo, hi = (np.asarray(b, dtype=float) for b in box)
+    lo = V.min(axis=0) - T.diameter
+    hi = V.max(axis=0) + T.diameter
     axes = [np.arange(lo[k], hi[k] + grid_step, grid_step) for k in range(d)]
     shape = tuple(len(a) for a in axes)
     if np.prod(shape) > cell_cap:

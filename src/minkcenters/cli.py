@@ -7,8 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input or usage error, 2 no circumcenter
 (none exists under a polyhedral norm, or the smooth solver found none).  The
-default incidence tolerance can be overridden with the MINKCENTERS_EPS_GEOM
-environment variable or the --tol flag.
+--tol flag sets the incidence tolerance eps_geom; it wins over an instance
+file's "tolerances", which wins over the default 1e-9.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .centers import full_report
 from .circumcenter import is_circumcenter, solve_circumcenter
 from .figures import SHOW_MODES, render_figure
 from .instances import InstanceError, dump_report, load_instance, write_atomic
+from .norms import Tolerances
 from .polygon import subpolygon_family, verify_polygon_theorems
 from .verify import run_suites
 
@@ -78,9 +80,7 @@ def _parse_point(text):
 
 
 def _diagnostics(inst):
-    tol = inst.tolerances
-    return {"tolerances": {"eps_geom": tol.eps_geom, "max_iters": tol.max_iters},
-            "seed": inst.seed}
+    return {"tolerances": asdict(inst.tolerances), "seed": inst.seed}
 
 
 def _simplex_report(inst, assume_center):
@@ -105,36 +105,19 @@ def _simplex_report(inst, assume_center):
             print("error: no circumcenter found at tolerance", file=sys.stderr)
             return None, EXIT_NO_CENTER
         M = result.center
-    rep = full_report(inst.norm, T, M, tol)
-    body = {
-        "M": rep.M, "R": rep.R, "G": rep.G, "N_M": rep.N_M, "P_M": rep.P_M,
-        "F_M": rep.F_M, "feuerbach_radius": rep.feuerbach_radius,
-        "collapsed": rep.collapsed,
-        "euler_line": None if rep.euler_line is None
-        else {"base": rep.euler_line.base, "direction": rep.euler_line.direction},
-        "facet_centroids": rep.facet_centroids,
-        "division_points": rep.division_points,
-    }
+    body = asdict(full_report(inst.norm, T, M, tol))
+    residuals = body.pop("ratio_residuals")
     return {"instance": inst.raw, "kind": "simplex", "report": body,
-            "residuals": rep.ratio_residuals, "diagnostics": diagnostics}, EXIT_OK
+            "residuals": residuals, "diagnostics": diagnostics}, EXIT_OK
 
 
 def _polygon_report(inst):
-    tol = inst.tolerances
     P = inst.polygon
     rep = subpolygon_family(P)
-    checks = verify_polygon_theorems(P, tol)
-    body = {
-        "M": P.M, "R": P.R, "G": rep.G, "F_M": rep.F_M, "N_M": rep.N_M,
-        "P_M": rep.P_M, "C_M": rep.C_M,
-        "sub_complementary": rep.sub_complementary,
-        "sub_spatial": rep.sub_spatial,
-        "sub_monge": rep.sub_monge,
-        "sub_centroids": rep.sub_centroids,
-        "midpoints": rep.midpoints,
-        "circles": {k: {"center": c, "radius": r} for k, (c, r) in rep.circles.items()},
-    }
-    residuals = {k: {"ok": ok, "residual": r} for k, (ok, r) in checks.items()}
+    body = dict(asdict(rep), M=P.M, R=P.R,
+                circles={k: {"center": c, "radius": r} for k, (c, r) in rep.circles.items()})
+    residuals = {k: {"ok": ok, "residual": r}
+                 for k, (ok, r) in verify_polygon_theorems(P, inst.tolerances).items()}
     return {"instance": inst.raw, "kind": "polygon", "report": body,
             "residuals": residuals, "diagnostics": _diagnostics(inst)}, EXIT_OK
 
@@ -156,13 +139,12 @@ def cmd_centers(args):
 
 
 def cmd_verify(args):
-    from .instances import default_tolerances
-
     dims = [int(x) for x in args.dims.split(",")] if args.dims else None
     norms = args.norms.split(",") if args.norms else None
     try:
+        tol = None if args.tol is None else Tolerances(args.tol)
         results = run_suites(args.suite, args.trials, dims=dims, norms=norms,
-                             seed=args.seed, tol=default_tolerances(args.tol))
+                             seed=args.seed, tol=tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -10,6 +10,8 @@ An instance file is one JSON object:
 The polygon variant of "problem" is {"polygon": {"vertices": [...],
 "center": [...], "radius": r, "norm": {...}}} where the inner norm is
 optional and overrides the top-level one.  Unknown fields are rejected.
+An eps_geom passed to load_instance or parse_instance (the CLI's --tol) wins
+over the file's, and the file's over the default.
 """
 
 from __future__ import annotations
@@ -20,26 +22,36 @@ import tempfile
 
 import numpy as np
 
-from .norms import Norm, Tolerances
+from .norms import DEFAULT_TOL, Norm, Tolerances
 from .polygon import CyclicPolygon
 from .simplex import Simplex
 
 __all__ = ["InstanceError", "Instance", "load_instance", "parse_instance",
            "dump_report", "write_atomic"]
 
-TOL_ENV_VAR = "MINKCENTERS_EPS_GEOM"
-
-
 class InstanceError(ValueError):
     """Invalid instance file (maps to CLI exit code 1)."""
 
 
-def _require_keys(obj, allowed, where):
+def _require_keys(obj, allowed, where, required=()):
     if not isinstance(obj, dict):
         raise InstanceError(f"{where} must be a JSON object")
     extra = set(obj) - set(allowed)
     if extra:
         raise InstanceError(f"unknown fields in {where}: {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise InstanceError(f"{where} is missing the {key!r} field")
+
+
+def _build(where, make, *args):
+    """make(*args), with its ValueError or TypeError raised as InstanceError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from None
+    except TypeError as exc:  # e.g. null or a list where a number belongs
+        raise InstanceError(f"bad value in {where}: {exc}") from None
 
 
 class Instance:
@@ -54,37 +66,16 @@ class Instance:
         self.raw = raw  # normalized echo for the report file
 
 
-def default_tolerances(eps_geom=None):
-    """Tolerances with optional eps_geom override (flag or environment)."""
-    if eps_geom is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        if env is not None:
-            eps_geom = float(env)
-    if eps_geom is None:
-        return Tolerances()
-    return Tolerances(eps_geom=eps_geom)
-
-
 def parse_instance(obj, eps_geom_override=None):
-    _require_keys(obj, {"norm", "problem", "tolerances", "seed"}, "instance")
-    for key in ("norm", "problem"):
-        if key not in obj:
-            raise InstanceError(f"instance is missing the {key!r} field")
-    try:
-        norm = Norm.from_json(obj["norm"])
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from None
+    _require_keys(obj, {"norm", "problem", "tolerances", "seed"}, "instance",
+                  required=("norm", "problem"))
+    norm = _build("norm record", Norm.from_json, obj["norm"])
 
     tol_obj = obj.get("tolerances") or {}
-    _require_keys(tol_obj, {"eps_geom", "max_iters"}, "tolerances")
-    base = default_tolerances(eps_geom_override)
-    try:
-        tol = Tolerances(
-            eps_geom=float(tol_obj.get("eps_geom", base.eps_geom)),
-            max_iters=int(tol_obj.get("max_iters", base.max_iters)),
-        )
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from None
+    _require_keys(tol_obj, {"eps_geom"}, "tolerances")
+    eps_geom = _build("tolerances", float, tol_obj.get("eps_geom", DEFAULT_TOL.eps_geom))
+    tol = _build("tolerances", Tolerances,
+                 eps_geom if eps_geom_override is None else eps_geom_override)
 
     seed = obj.get("seed")
     if seed is not None and not isinstance(seed, int):
@@ -97,26 +88,17 @@ def parse_instance(obj, eps_geom_override=None):
 
     if "simplex" in problem:
         rec = problem["simplex"]
-        _require_keys(rec, {"vertices"}, "simplex record")
-        try:
-            T = Simplex(rec["vertices"], tol)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from None
+        _require_keys(rec, {"vertices"}, "simplex record", required=("vertices",))
+        T = _build("simplex record", Simplex, rec["vertices"], tol)
         return Instance(norm, "simplex", simplex=T, tolerances=tol, seed=seed,
                         raw=_normalize(obj))
 
     rec = problem["polygon"]
-    _require_keys(rec, {"vertices", "center", "radius", "norm"}, "polygon record")
-    pnorm = norm
-    if "norm" in rec:
-        try:
-            pnorm = Norm.from_json(rec["norm"])
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from None
-    try:
-        P = CyclicPolygon(rec["vertices"], rec["center"], rec["radius"], pnorm, tol)
-    except (ValueError, KeyError) as exc:
-        raise InstanceError(str(exc)) from None
+    _require_keys(rec, {"vertices", "center", "radius", "norm"}, "polygon record",
+                  required=("vertices", "center", "radius"))
+    pnorm = _build("polygon norm record", Norm.from_json, rec["norm"]) if "norm" in rec else norm
+    P = _build("polygon record", CyclicPolygon, rec["vertices"], rec["center"], rec["radius"],
+               pnorm, tol)
     return Instance(pnorm, "polygon", polygon=P, tolerances=tol, seed=seed,
                     raw=_normalize(obj))
 

@@ -8,10 +8,9 @@ inequalities are enumerated once at construction time and the norm is the
 maximum of the facet functionals.
 
 On top of plain evaluation, this module decides the two classical
-orthogonality relations of normed spaces (isosceles and Birkhoff) and
-normality of a vector to a hyperplane.  Birkhoff orthogonality and normality
-are read off the norm's subgradients (the supporting functionals of the unit
-ball), which makes both exact for smooth and polyhedral norms alike.
+orthogonality relations of normed spaces (isosceles and Birkhoff).  Birkhoff
+orthogonality is read off the norm's subgradients (the supporting functionals
+of the unit ball), which makes it exact for smooth and polyhedral norms alike.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "Norm",
     "is_isosceles_orthogonal",
     "is_birkhoff_orthogonal",
-    "is_normal_to_hyperplane",
 ]
 
 
@@ -35,15 +33,13 @@ __all__ = [
 class Tolerances:
     """Numerical tolerances shared by the geometric predicates and solvers.
 
-    eps_geom is the incidence/equality tolerance, max_iters caps iterative
-    solvers.
+    eps_geom is the incidence/equality tolerance.
     """
 
     eps_geom: float = 1e-9
-    max_iters: int = 400
 
     def __post_init__(self):
-        if not (self.eps_geom > 0 and self.max_iters > 0):
+        if not self.eps_geom > 0:
             raise ValueError("tolerances must be strictly positive")
 
 
@@ -269,32 +265,3 @@ def is_birkhoff_orthogonal(spec, x, y, tol=DEFAULT_TOL):
     slack = tol.eps_geom * ny
     return bool(gy.min() <= slack and gy.max() >= -slack)
 
-
-def is_normal_to_hyperplane(spec, v, hyperplane_basis, tol=DEFAULT_TOL):
-    """Is v normal to the hyperplane H spanned by the given d-1 directions?
-
-    Normality means v is Birkhoff orthogonal to every direction in H, i.e.
-    some supporting functional at v vanishes on all of H.  With the basis
-    rows scaled to unit norm (matrix B) and G = spec.subgradients(v), that
-    asks whether 0 lies in the convex hull of the columns of C = B G^T.  One
-    nonnegative least-squares solve of [C; 1] lam = [0; 1] decides it: its
-    residual r and the distance delta of 0 from the hull obey
-    r^2 = delta^2 / (1 + delta^2).  The test is exact for every norm kind.
-    """
-    from scipy.optimize import nnls
-
-    v = np.asarray(v, dtype=float)
-    d = v.shape[0]
-    B = np.asarray(hyperplane_basis, dtype=float)
-    if len(B) != d - 1:
-        raise ValueError(f"expected {d - 1} spanning vectors, got {len(B)}")
-    if np.linalg.matrix_rank(B, tol=1e-12 * max(1.0, np.abs(B).max())) < d - 1:
-        raise ValueError("hyperplane basis is degenerate")
-    aug = np.vstack([B, v])
-    if np.linalg.matrix_rank(aug, tol=1e-12 * max(1.0, np.abs(aug).max())) < d:
-        raise ValueError("v lies in the span of the hyperplane basis")
-    C = (B / spec(B)[:, None]) @ spec.subgradients(v, tol.eps_geom).T
-    A = np.vstack([C, np.ones(C.shape[1])])
-    b = np.zeros(d)
-    b[-1] = 1.0
-    return bool(nnls(A, b)[1] <= tol.eps_geom)

@@ -118,8 +118,10 @@ def subpolygon_family(P):
 def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     """Check every incidence/concurrency claim; returns {claim: (ok, residual)}.
 
-    Near-degenerate lines (endpoints closer than eps_geom * R) are skipped;
-    each concurrency claim requires at least two surviving lines.
+    A claim is ok when its residual is at most 10 * eps_geom * R (1e-8 * R at
+    the default tolerance).  Near-degenerate lines (endpoints closer than
+    eps_geom * R) are skipped; each concurrency claim requires at least two
+    surviving lines.
     """
     d = P.d
     R = P.R
@@ -129,7 +131,7 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     out = {}
 
     def record(name, residual):
-        out[name] = (bool(residual <= tol.eps_geom * R * 100), float(residual))
+        out[name] = (bool(residual <= 10 * tol.eps_geom * R), float(residual))
 
     def record_concurrency(name, ends, X, ratio=None):
         """Lines <A_i Q_i> through X, and X = A_i + ratio (Q_i - A_i) if given."""
@@ -191,10 +193,10 @@ def parallelepiped_lift(P):
     return out
 
 
-def sample_cyclic_polygon(norm, M, R, n_vertices, rng=None, min_gap=0.15):
+def sample_cyclic_polygon(norm, M, R, n_vertices, rng=None):
     """Construct a cyclic polygon by walking the norm's unit sphere.
 
-    Sorted random angles (with a minimum angular gap) give boundary
+    Sorted random angles (at least 0.15 rad apart) give boundary
     directions; each vertex is M + R * u / ||u||, so the circumcircle property
     holds by construction.
     """
@@ -203,7 +205,7 @@ def sample_cyclic_polygon(norm, M, R, n_vertices, rng=None, min_gap=0.15):
     for _ in range(200):
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n_vertices))
         gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
-        if gaps.min() < min_gap:
+        if gaps.min() < 0.15:
             continue
         U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         V = M + R * U / norm(U)[:, None]

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .centers import complementary_point, full_report, m_hyperplanes, monge_lines, monge_point
-from .circumcenter import solve_circumcenter
+from .circumcenter import _equidistance, solve_circumcenter
 from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import sample_cyclic_polygon, verify_polygon_theorems
 from .simplex import Simplex, euclid_orthocenter
@@ -22,7 +22,6 @@ from .simplex import Simplex, euclid_orthocenter
 __all__ = [
     "parse_norm_name",
     "random_simplex",
-    "regular_simplex",
     "random_orthocentric_simplex",
     "random_polyhedral_norm",
     "ClaimStats",
@@ -33,7 +32,7 @@ __all__ = [
     "run_suites",
 ]
 
-REL_TOL = 1e-8  # relative residual threshold shared by all randomized claims
+REL_TOL = 1e-8  # relative residual threshold shared by the randomized simplex claims
 
 
 def parse_norm_name(name, d=2, rng=None):
@@ -50,35 +49,23 @@ def parse_norm_name(name, d=2, rng=None):
     raise ValueError(f"unknown norm name: {name!r}")
 
 
-def random_polyhedral_norm(d, rng=None, n_vertices=None):
-    """Centrally symmetric random polytope norm (d <= 3)."""
+def random_polyhedral_norm(d, rng=None):
+    """Centrally symmetric random polytope norm (d <= 3): the unit ball is
+    the hull of 4d random unit vectors and their antipodes."""
     rng = np.random.default_rng(rng)
-    if n_vertices is None:
-        n_vertices = 4 * d
-    P = rng.normal(size=(n_vertices, d))
+    P = rng.normal(size=(4 * d, d))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     return Norm.polyhedral(np.vstack([P, -P]))
 
 
-def random_simplex(d, rng, spread=1.0):
+def random_simplex(d, rng):
     rng = np.random.default_rng(rng)
     while True:
-        V = rng.normal(size=(d + 1, d)) * spread
+        V = rng.normal(size=(d + 1, d))
         try:
             return Simplex(V)
         except ValueError:
             continue
-
-
-def regular_simplex(d, rng=None, scale=1.0):
-    """Regular d-simplex: random rotation/translation of the standard-basis
-    simplex in the sum-one hyperplane of R^(d+1), mapped down to R^d."""
-    rng = np.random.default_rng(rng)
-    E = np.eye(d + 1) - 1.0 / (d + 1)  # centered vertices, rank d
-    B = np.linalg.svd(E, full_matrices=False)[2][:d]  # orthonormal basis rows
-    V = E @ B.T  # (d+1, d), pairwise equidistant
-    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    return Simplex(scale * V @ Q.T + rng.normal(size=d))
 
 
 def random_orthocentric_simplex(rng, d=3):
@@ -101,13 +88,11 @@ class ClaimStats:
         self.max_residual = 0.0
 
     def add(self, residual, threshold):
+        self.add_bool(not residual > threshold, residual)
+
+    def add_bool(self, ok, residual=0.0):
         self.trials += 1
         self.max_residual = max(self.max_residual, residual)
-        if residual > threshold:
-            self.failures += 1
-
-    def add_bool(self, ok):
-        self.trials += 1
         if not ok:
             self.failures += 1
 
@@ -190,8 +175,7 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
     and euler_collinear are left out when the Euler line collapses.
     """
     scale = T.diameter
-    dd = norm(T.vertices - np.asarray(M, dtype=float))
-    defect = float(np.abs(dd - dd.mean()).max())
+    defect = _equidistance(norm, T.vertices, M)[1]
     claims = {"circumcenter_selfconsistent": defect / scale}
     if defect > tol.eps_geom * scale:
         return claims
@@ -268,6 +252,8 @@ def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "
 
 def suite_polygon(trials, degrees=(3, 4, 5, 6, 7, 8),
                   norms=("euclidean", "l1", "linf", "l3"), seed=0, tol=None):
+    """The claims of verify_polygon_theorems over random cyclic polygons:
+    a claim fails where its ok flag is false, with residuals scaled by R."""
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     names = list(norms)
@@ -279,7 +265,7 @@ def suite_polygon(trials, degrees=(3, 4, 5, 6, 7, 8),
         R = rng.uniform(0.5, 2.0)
         P = sample_cyclic_polygon(norm, M, R, d + 1, rng)
         for claim, (ok, residual) in verify_polygon_theorems(P, tol).items():
-            stats.setdefault(claim, ClaimStats()).add(residual / R, REL_TOL)
+            stats.setdefault(claim, ClaimStats()).add_bool(ok, residual / R)
     return stats
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from minkcenters import Norm, Simplex, full_report, grid_oracle_circumcenters, solve_circumcenter
 from minkcenters.simplex import euclid_orthocenter
-from minkcenters.verify import random_simplex, regular_simplex, suite_polygon, suite_simplex
+from minkcenters.verify import random_simplex, suite_polygon, suite_simplex
 
 EUCL = Norm.euclidean()
 
@@ -149,6 +149,16 @@ def test_criterion_9_affine_invariance(simplex_stats, emit):
     emit(9, st.passed and st.trials >= BATCH_SIZE and st.max_residual <= 1e-8,
          f"monge_point and complementary_point commute with {st.trials} random affine "
          f"maps, max residual {st.max_residual:.2e} (tol 1e-8)")
+
+
+def regular_simplex(d, rng, scale):
+    """Regular d-simplex: random rotation/translation of the standard-basis
+    simplex in the sum-one hyperplane of R^(d+1), mapped down to R^d."""
+    E = np.eye(d + 1) - 1.0 / (d + 1)  # centered vertices, rank d
+    B = np.linalg.svd(E, full_matrices=False)[2][:d]  # orthonormal basis rows
+    V = E @ B.T  # (d+1, d), pairwise equidistant
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return Simplex(scale * V @ Q.T + rng.normal(size=d))
 
 
 def test_criterion_10_collapse_detection(emit):

@@ -50,8 +50,8 @@ class TestCenters:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["centers", inst, "--out", out1]) == EXIT_OK
         assert main(["centers", inst, "--out", out2]) == EXIT_OK
-        b1 = open(out1, "rb").read()
-        assert b1 == open(out2, "rb").read()
+        b1 = Path(out1).read_bytes()
+        assert b1 == Path(out2).read_bytes()
         assert b1.endswith(b"\n")
         json.loads(b1)  # valid JSON
 
@@ -136,13 +136,36 @@ class TestCenters:
         assert "unknown fields" in capsys.readouterr().err
 
     def test_tolerances_schema(self, tmp_path, capsys):
-        obj = dict(SIMPLEX_EUCL, tolerances={"eps_geom": 1e-8, "max_iters": 50})
+        obj = dict(SIMPLEX_EUCL, tolerances={"eps_geom": 1e-8})
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_OK
         diag = json.loads(capsys.readouterr().out)["diagnostics"]
-        assert diag["tolerances"] == {"eps_geom": 1e-8, "max_iters": 50}
-        obj = dict(SIMPLEX_EUCL, tolerances={"eps_opt": 1e-12})
-        assert main(["centers", write_instance(tmp_path / "u.json", obj)]) == EXIT_INVALID
-        assert "unknown fields in tolerances" in capsys.readouterr().err
+        assert diag["tolerances"] == {"eps_geom": 1e-8}
+        for retired in ({"eps_opt": 1e-12}, {"max_iters": 50}):
+            obj = dict(SIMPLEX_EUCL, tolerances=retired)
+            assert main(["centers", write_instance(tmp_path / "u.json", obj)]) == EXIT_INVALID
+            assert "unknown fields in tolerances" in capsys.readouterr().err
+
+    def test_tol_flag_wins_over_file(self, tmp_path, capsys):
+        obj = dict(SIMPLEX_L1, tolerances={"eps_geom": 1e-6})
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst, "--tol", "1e-3"]) == EXIT_OK
+        tol = json.loads(capsys.readouterr().out)["diagnostics"]["tolerances"]
+        assert tol == {"eps_geom": 1e-3}
+
+    @pytest.mark.parametrize("obj", [
+        dict(SIMPLEX_L1, norm={"kind": "lp"}),
+        dict(SIMPLEX_L1, norm={"kind": "lp", "p": None}),
+        dict(SIMPLEX_L1, norm={"kind": "lp", "p": [2]}),
+        dict(SIMPLEX_L1, tolerances={"eps_geom": None}),
+        {"norm": {"kind": "lp", "p": 1},
+         "problem": {"polygon": {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "center": [0, 0], "radius": None}}},
+        dict(SIMPLEX_L1, problem={"simplex": {}}),
+    ], ids=["lp_missing_p", "lp_null_p", "lp_list_p", "null_eps_geom", "null_radius",
+            "simplex_missing_vertices"])
+    def test_malformed_record_invalid(self, tmp_path, capsys, obj):
+        assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:
@@ -192,7 +215,7 @@ class TestFigure:
         inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)
         out = str(tmp_path / "fig.svg")
         assert main(["figure", inst, "--out", out, "--show", "feuerbach"]) == EXIT_OK
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.startswith("<svg") and 'class="marker"' in text
 
     def test_3d_instance_invalid(self, tmp_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minkcenters import (Norm, Tolerances, is_birkhoff_orthogonal,
-                         is_isosceles_orthogonal, is_normal_to_hyperplane)
+from minkcenters import Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from minkcenters.verify import random_polyhedral_norm
 
 TOL = Tolerances()
@@ -182,76 +181,6 @@ class TestNormAxioms:
         cube = Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)])
         assert cross(x) == pytest.approx(Norm.lp(1)(x), abs=TOL.eps_geom * 10)
         assert cube(x) == pytest.approx(Norm.lp(math.inf)(x), abs=TOL.eps_geom * 10)
-
-
-class TestNormality:
-    def test_euclidean_coordinate_hyperplane(self):
-        assert is_normal_to_hyperplane(Norm.euclidean(), (0, 0, 1),
-                                       [(1, 0, 0), (0, 1, 0)])
-
-    def test_euclidean_tilted_not_normal(self):
-        assert not is_normal_to_hyperplane(Norm.euclidean(), (0, 1, 1),
-                                           [(1, 0, 0), (0, 1, 0)])
-
-    def test_linf_diagonal(self):
-        # grid oracle: ||(1,1) + a (1,-1)||_inf = max(|1+a|, |1-a|) >= 1
-        linf = Norm.lp(math.inf)
-        alphas = np.linspace(-4, 4, 4001)
-        assert min(linf(np.array([1, 1]) + a * np.array([1, -1])) for a in alphas) >= 1
-        assert is_normal_to_hyperplane(linf, (1, 1), [(1, -1)])
-
-    def test_linf_not_normal_at_edge(self):
-        # w = -0.4 (1,-1,-1) - (0,0,1) gives ||v + w||_inf = 0.6 < ||v||_inf = 1
-        linf = Norm.lp(math.inf)
-        v = np.array([1.0, 0.0, 1.0])
-        w = -0.4 * np.array([1.0, -1.0, -1.0]) - np.array([0.0, 0.0, 1.0])
-        assert linf(v + w) == pytest.approx(0.6)
-        assert not is_normal_to_hyperplane(linf, v, [(1, -1, -1), (0, 0, 1)])
-
-    def test_matches_lp_oracle_on_small_integer_inputs(self):
-        """Independent oracle: v is normal to H iff min_{w in H} ||v + w|| = ||v||,
-        with the minimum computed by a linear program over the norm's facets."""
-        from scipy.optimize import linprog
-
-        octahedron = np.vstack([np.eye(3), -np.eye(3)])
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-        # (facet functionals, norms whose unit ball has exactly those facets)
-        families = [(signs, [Norm.lp(1), Norm.polyhedral(octahedron)]),
-                    (octahedron, [Norm.lp(math.inf)])]
-        # one representative of each +-pair of nonzero {-1,0,1}^3 vectors
-        half = [np.array(p, dtype=float) for p in itertools.product((-1, 0, 1), repeat=3)
-                if p > (0, 0, 0)]
-        planes = {}
-        for a, b in itertools.combinations(half, 2):
-            n = np.cross(a, b)
-            if n.any():
-                planes.setdefault(tuple(n / n[np.flatnonzero(n)[0]]), np.array([a, b]))
-
-        checked = 0
-        for F, norms in families:
-            for B in planes.values():
-                for v in half:
-                    if abs(np.linalg.det(np.vstack([B, v]))) < 0.5:
-                        continue  # v lies in H
-                    # min t subject to F (v + c B) <= t, variables (c1, c2, t)
-                    A = np.hstack([F @ B.T, -np.ones((len(F), 1))])
-                    lp = linprog([0, 0, 1], A_ub=A, b_ub=-F @ v,
-                                 bounds=[(None, None)] * 3, method="highs")
-                    for norm in norms:
-                        expected = lp.fun >= norm(v) - 1e-9
-                        assert is_normal_to_hyperplane(norm, v, B) == expected, (norm, v, B)
-                        checked += 1
-        assert checked == 759
-
-    def test_v_in_span_rejected(self):
-        with pytest.raises(ValueError):
-            is_normal_to_hyperplane(Norm.euclidean(), (1, 1, 0),
-                                    [(1, 0, 0), (0, 1, 0)])
-
-    def test_degenerate_basis_rejected(self):
-        with pytest.raises(ValueError):
-            is_normal_to_hyperplane(Norm.euclidean(), (0, 0, 1),
-                                    [(1, 0, 0), (2, 0, 0)])
 
 
 class TestTolerances:

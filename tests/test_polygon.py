@@ -6,6 +6,7 @@ import pytest
 from minkcenters import (CyclicPolygon, Norm, Tolerances, parallelepiped_lift,
                          sample_cyclic_polygon, subpolygon_family,
                          verify_polygon_theorems)
+from minkcenters import verify
 
 EUCL = Norm.euclidean()
 L1 = Norm.lp(1)
@@ -171,3 +172,12 @@ def test_random_polygons_all_norms():
         P = sample_cyclic_polygon(norm, rng.normal(size=2), rng.uniform(0.5, 2), d + 1, rng)
         for claim, (ok, residual) in verify_polygon_theorems(P).items():
             assert residual <= 1e-8 * P.R, (claim, residual)
+
+
+def test_suite_polygon_fails_exactly_the_flagged_claims(monkeypatch):
+    # the ok flag is the one verdict: a residual never overrules it
+    flags = {"flagged": (False, 0.0), "clean": (True, 5e-8)}
+    monkeypatch.setattr(verify, "verify_polygon_theorems", lambda P, tol: flags)
+    stats = verify.suite_polygon(3, seed=0)
+    assert stats["flagged"].failures == 3 and stats["clean"].failures == 0
+    assert stats["clean"].max_residual > 0
