@@ -12,13 +12,24 @@ Each norm class has one solver path:
   epigraph of max_i ||A_i - M||, enumerated with one convex hull (see
   ``_polyhedral_center``).  It returns the minimum-radius circumcenter, and
   status "none" decides that no circumcenter exists.
-* Smooth l_p: a multi-start least-squares minimisation of
+* Smooth l_p: damped Newton on the square bisector system
+  ||A_i - M|| = ||A_0 - M|| (i = 1..d), with the norm's analytic gradient,
+  from the exact Euclidean circumcenter.  In a strictly convex norm each
+  bisector is a smooth hypersurface and M is where d of them meet (Horvath,
+  Acta Math. Hungar. 89, 2000).  When Newton fails there, a continuation in
+  p from the Euclidean center and then a fixed seeded list of starts follow
+  (see ``_smooth_center``).  A center always exists in exact arithmetic,
+  but it need not be unique: l_3 simplices at d >= 4 with two or three
+  centers occur.  The solver returns the first center that certifies, in
+  that order: the one Newton reaches from the Euclidean center, the end of
+  the continuation, or the one reached from the earliest start, by Newton
+  before ``least_squares``.  It is not the least-radius center.
 
-      phi(M) = sum_i (||A_i - M|| - rho(M))^2,   rho(M) = mean_i ||A_i - M||,
-
-  whose zero set is the circumcenter set, started from the Euclidean
-  circumcenter, the centroid, the vertices and seeded random perturbations.
-  Status "not_found" means only that every start failed at tolerance.
+Every path accepts a center by one test, ``_certified``, which is also
+``is_circumcenter``'s, so a "found" center always passes is_circumcenter.
+Status "not_found" means that nothing certified at tolerance: a smooth
+solver miss, or (for any norm) a center too far out for floats to resolve
+its equidistance defect.
 """
 
 from __future__ import annotations
@@ -27,20 +38,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import DEFAULT_TOL
+from .norms import DEFAULT_TOL, Norm
 
 __all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle_circumcenters"]
 
 MAX_NFEV_PER_DIM = 400  # least-squares evaluation cap per start, times d
+NEWTON_STEPS = 50
+CONTINUATION_STEPS = 40  # Newton runs per p-continuation
+RANDOM_STARTS = 16  # smooth fallback starts after the centroid and the vertices
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class CircumResult:
     """status is "found", "none" (decided: T has no circumcenter; polyhedral
-    norms only) or "not_found" (every smooth-solver start failed).  residual
+    norms only) or "not_found" (no point certified at tolerance).  residual
     is the equidistance defect max_i | ||A_i - M|| - R | at the center; for
-    "none" it is the defect at the centroid, for "not_found" the best
-    start's sqrt(phi)."""
+    "none" it is the defect at the centroid, for "not_found" the least
+    defect over the points tried (inf where floats resolve none)."""
 
     status: str
     center: np.ndarray | None
@@ -60,10 +75,30 @@ def _equidistance(norm, V, M):
     return R, float(np.abs(dd - R).max())
 
 
+def _certified(norm, V, M, diam, tol):
+    """(accepted, R, defect) at M, the one circumcenter test of this module.
+
+    M is accepted when its equidistance defect is at most eps_geom * diam and
+    floats resolve that bound: eps_mach * (R + max |V|), the rounding scale
+    of the distances ||V_i - M||, must be below it.  Far beyond that scale,
+    V - M rounds to -M and every defect reads 0, so the defect is reported
+    as inf there.
+    """
+    R, defect = _equidistance(norm, V, M)
+    bound = tol.eps_geom * diam
+    if not _EPS * (R + np.abs(V).max()) < bound:
+        return False, R, np.inf
+    return defect <= bound, R, defect
+
+
 def is_circumcenter(norm, T, M, tol=DEFAULT_TOL):
-    """Mean vertex distance R if M is equidistant from all vertices, else None."""
-    R, defect = _equidistance(norm, T.vertices, M)
-    return R if defect <= tol.eps_geom * T.diameter else None
+    """Mean vertex distance R if M is equidistant from all vertices, else None.
+
+    Equidistant means a defect of at most eps_geom * diameter, at a point
+    where floats resolve that (see ``_certified``).
+    """
+    ok, R, _ = _certified(norm, T.vertices, M, T.diameter, tol)
+    return R if ok else None
 
 
 def _euclidean_center(V):
@@ -73,8 +108,13 @@ def _euclidean_center(V):
     return np.linalg.solve(A, b)
 
 
-def _result(norm, V, M, starts_used):
-    return CircumResult("found", M, *_equidistance(norm, V, M), starts_used)
+def _result(norm, T, M, starts_used, tol):
+    """"found" at M if ``_certified`` accepts it on T's own coordinates, else
+    "not_found", so that a found center always passes is_circumcenter."""
+    ok, R, defect = _certified(norm, T.vertices, M, T.diameter, tol)
+    if not ok:
+        return CircumResult("not_found", None, None, defect, starts_used)
+    return CircumResult("found", M, R, defect, starts_used)
 
 
 def _polyhedral_center(norm, T, tol):
@@ -127,53 +167,146 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
 
     Euclidean: one exact linear solve.  Polyhedral (non-smooth) norms: the
     exact minimum-radius center, or status "none" when no center exists.
-    Smooth l_p: multi-start least squares, "found" when
-    phi <= (eps_geom * diameter)^2 and "not_found" when every start fails.
+    Smooth l_p: Newton on the bisector system from the Euclidean center,
+    then the fallbacks of ``_smooth_center``.  The answer is "found" only
+    where ``_certified`` accepts it, else "not_found".
     """
     V = T.vertices
     if norm.kind == "euclidean":
-        return _result(norm, V, _euclidean_center(V), 1)
+        return _result(norm, T, _euclidean_center(V), 1, tol)
 
     if not norm.smooth:
         M = _polyhedral_center(norm, T, tol)
         if M is None:
             return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
-        return _result(norm, V, M, 1)
+        return _result(norm, T, M, 1, tol)
 
+    c = V.mean(axis=0)
+    M, starts_used, residual = _smooth_center(norm, V - c, T.diameter, tol)
+    if M is None:
+        return CircumResult("not_found", None, None, residual, starts_used)
+    return _result(norm, T, c + M, starts_used, tol)
+
+
+def _smooth_center(norm, V, diam, tol):
+    """Circumcenter of the centred vertices V under a smooth l_p norm.
+
+    Tries, in order, until a point certifies (``_certified``):
+
+    1. Newton on the bisector system from the Euclidean center M0;
+    2. ``_p_continuation`` from M0;
+    3. Newton from each of a fixed list of starts: the centroid, the
+       vertices, then seeded random points out to three times
+       max(diameter, Euclidean circumradius);
+    4. ``least_squares`` with the analytic Jacobian from the same starts.
+       Its trust-region steps reach some centers that Newton's line search
+       misses from every start.
+
+    Returns (M or None, starts tried, least defect seen).  Stage 2 counts as
+    the second start, and each start of stages 3 and 4 once per solver.
+    """
+    d = V.shape[1]
+    F, J = _bisector_system(norm, V)
+    M0 = _euclidean_center(V)
+    M = _newton(F, J, M0, diam)
+    ok, _, best = _certified(norm, V, M, diam, tol)
+    if ok:
+        return M, 1, best
+    M = _p_continuation(norm.p, V, M0, diam, tol)
+    if M is not None:
+        return M, 2, best
+
+    # imported on entry to the fallback, which fewer than 1 in 100 l_p solves
+    # reaches, rather than by the rare least_squares call itself, so that a
+    # long batch's peak memory does not hinge on whether that call happens
     from scipy.optimize import least_squares
 
-    d = T.dim
-    scale = T.diameter
-    found_tol = (tol.eps_geom * scale) ** 2
+    def newton(s):
+        return _newton(F, J, s, diam)
+
+    def trust_region(s):
+        return least_squares(F, s, jac=J, xtol=3e-16, ftol=3e-16, gtol=3e-16,
+                             max_nfev=MAX_NFEV_PER_DIM * d).x
+
     rng = np.random.default_rng(0)
-    starts = [_euclidean_center(V), V.mean(axis=0)] + list(V)
-    # 5 random starts; with the d+3 fixed starts: 8+d in total
-    starts += [V.mean(axis=0) + rng.normal(size=d) * scale for _ in range(5)]
-    res_fun = _make_residual(norm, V)
-
-    best_x, best_f = None, np.inf
-    starts_used = 0
-    for s in starts:
-        starts_used += 1
-        out = least_squares(res_fun, np.asarray(s, dtype=float), xtol=3e-16, ftol=3e-16,
-                            gtol=3e-16, max_nfev=MAX_NFEV_PER_DIM * d)
-        x, f = out.x, float(np.sum(out.fun ** 2))
-        if f < best_f:
-            best_x, best_f = x, f
-        if best_f <= found_tol:
-            break
-
-    if best_f > found_tol:
-        return CircumResult("not_found", None, None, float(np.sqrt(best_f)), starts_used)
-    return _result(norm, V, best_x, starts_used)
+    reach = 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
+    U = rng.normal(size=(RANDOM_STARTS, d))
+    U *= rng.uniform(0.0, reach, size=(RANDOM_STARTS, 1)) / np.linalg.norm(U, axis=1, keepdims=True)
+    starts = np.vstack([np.zeros(d), V, U])
+    tries = [(solve, s) for solve in (newton, trust_region) for s in starts]
+    for k, (solve, s) in enumerate(tries, start=3):
+        M = solve(s)
+        ok, _, res = _certified(norm, V, M, diam, tol)
+        best = min(best, res)
+        if ok:
+            return M, k, best
+    return None, len(tries) + 2, best
 
 
-def _make_residual(norm, V):
-    def residual(M):
+def _bisector_system(norm, V):
+    """F_i(M) = ||V_i - M|| - ||V_0 - M|| (i = 1..d) and its Jacobian G_0 - G_i,
+    with G_i the norm's gradient at V_i - M."""
+
+    def F(M):
         dd = norm(V - M)
-        return dd - dd.mean()
+        return dd[1:] - dd[0]
 
-    return residual
+    def J(M):
+        G = norm.gradient(V - M)
+        return G[0] - G[1:]
+
+    return F, J
+
+
+def _p_continuation(p, V, M, diam, tol):
+    """Follow the l_q circumcenter from q = 2, where M is exact, to q = p.
+
+    Each step runs Newton from the last certified l_q center.  A step that
+    certifies grows by half, one that fails is halved; the walk gives up
+    after CONTINUATION_STEPS Newton runs or below a step of 1e-3.
+    """
+    q, dq = 2.0, (p - 2.0) / 4
+    for _ in range(CONTINUATION_STEPS):
+        if q == p:
+            return M
+        if abs(dq) < 1e-3:
+            return None
+        qn = q + dq if abs(p - q) > abs(dq) else p
+        lq = Norm.lp(qn)
+        Mn = _newton(*_bisector_system(lq, V), M, diam)
+        if _certified(lq, V, Mn, diam, tol)[0]:
+            q, M, dq = qn, Mn, 1.5 * dq
+        else:
+            dq /= 2
+    return M if q == p else None
+
+
+def _newton(F, J, M, diam):
+    """Damped Newton on F(M) = 0 with Armijo backtracking on |F|^2.
+
+    Stops once |F| is at the float resolution of distances from M, after
+    NEWTON_STEPS steps, or when no step length down to 2^-10 decreases |F|^2
+    enough.
+    """
+    f = F(M)
+    m = f @ f
+    for _ in range(NEWTON_STEPS):
+        if not m > (8 * _EPS * (diam + np.linalg.norm(M))) ** 2:
+            break
+        try:
+            step = np.linalg.solve(J(M), -f)
+        except np.linalg.LinAlgError:
+            break
+        for t in 0.5 ** np.arange(11):
+            trial = M + t * step
+            ft = F(trial)
+            mt = ft @ ft
+            if mt <= (1.0 - 1e-4 * t) * m:
+                break
+        else:
+            break
+        M, f, m = trial, ft, mt
+    return M
 
 
 def grid_oracle_circumcenters(norm, T, grid_step, cell_cap=10_000_000):

@@ -26,7 +26,7 @@ from .circumcenter import is_circumcenter, solve_circumcenter
 from .figures import SHOW_MODES, render_figure
 from .instances import InstanceError, dump_report, load_instance, write_atomic
 from .norms import Tolerances
-from .polygon import subpolygon_family, verify_polygon_theorems
+from .polygon import _polygon_claims, subpolygon_family
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def _polygon_report(inst):
     body = dict(asdict(rep), M=P.M, R=P.R,
                 circles={k: {"center": c, "radius": r} for k, (c, r) in rep.circles.items()})
     residuals = {k: {"ok": ok, "residual": r}
-                 for k, (ok, r) in verify_polygon_theorems(P, inst.tolerances).items()}
+                 for k, (ok, r) in _polygon_claims(P, rep, inst.tolerances).items()}
     return {"instance": inst.raw, "kind": "polygon", "report": body,
             "residuals": residuals, "diagnostics": _diagnostics(inst)}, EXIT_OK
 

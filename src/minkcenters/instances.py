@@ -78,7 +78,7 @@ def parse_instance(obj, eps_geom_override=None):
                  eps_geom if eps_geom_override is None else eps_geom_override)
 
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise InstanceError("seed must be an integer")
 
     problem = obj["problem"]

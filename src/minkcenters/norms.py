@@ -141,21 +141,34 @@ class Norm:
         nx = float(self(x))
         if nx == 0.0:
             raise ValueError("subgradients need a nonzero vector")
+        if self.smooth:
+            return self.gradient(x[None, :])
         slack = eps * nx
-        if self.kind == "euclidean":
-            return (x / nx)[None, :]
         if self.kind == "polyhedral":
             F = self._facets
             return F[F @ x >= nx - slack]
         if math.isinf(self.p):
             return np.diag(np.sign(x))[np.abs(x) >= nx - slack]
-        if self.p == 1.0:
-            zero = np.flatnonzero(np.abs(x) <= slack)
-            G = np.tile(np.sign(x), (2 ** len(zero), 1))
-            G[:, zero] = list(itertools.product((-1.0, 1.0), repeat=len(zero)))
-            return G
-        u = x / nx
-        return (np.sign(u) * np.abs(u) ** (self.p - 1.0))[None, :]
+        zero = np.flatnonzero(np.abs(x) <= slack)  # l_1
+        G = np.tile(np.sign(x), (2 ** len(zero), 1))
+        G[:, zero] = list(itertools.product((-1.0, 1.0), repeat=len(zero)))
+        return G
+
+    def gradient(self, X):
+        """Gradient of a smooth norm at each row of an (n, d) array, as rows.
+
+        For l_p it is sign(x) |x / ||x|| |^(p-1); for the Euclidean norm,
+        x / ||x||.  A zero row gets a zero gradient, which is a subgradient
+        there.
+        """
+        if not self.smooth:
+            raise ValueError(f"{self!r} is not smooth and has no gradient")
+        X = np.asarray(X, dtype=float)
+        n = self(X)[:, None]
+        U = np.divide(X, n, out=np.zeros_like(X), where=n > 0)
+        if self.kind == "euclidean":
+            return U
+        return np.sign(U) * np.abs(U) ** (self.p - 1.0)
 
     def facets(self, d):
         """Rows F_f with ||x|| = max_f F_f.x on R^d (polyhedral kinds only).

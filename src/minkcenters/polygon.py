@@ -123,10 +123,14 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     eps_geom * R) are skipped; each concurrency claim requires at least two
     surviving lines.
     """
+    return _polygon_claims(P, subpolygon_family(P), tol)
+
+
+def _polygon_claims(P, rep, tol):
+    """verify_polygon_theorems on rep = subpolygon_family(P)."""
     d = P.d
     R = P.R
     norm = P.norm
-    rep = subpolygon_family(P)
     V = P.vertices
     out = {}
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .centers import complementary_point, full_report, m_hyperplanes, monge_lines, monge_point
-from .circumcenter import _equidistance, solve_circumcenter
+from .circumcenter import _certified, solve_circumcenter
 from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import sample_cyclic_polygon, verify_polygon_theorems
 from .simplex import Simplex, euclid_orthocenter
@@ -168,16 +168,17 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
 
     Residuals are scaled by the diameter of T, the Feuerbach defect by R.
     Each claim holds when its residual is at most its threshold:
-    eps_geom for circumcenter_selfconsistent (the is_circumcenter test),
+    eps_geom for circumcenter_selfconsistent (the is_circumcenter test; inf
+    where floats cannot resolve the defect at M),
     0 for m_hyperplane_count (d minus the number of M-hyperplanes),
     1e-10 for euler_ratios and REL_TOL for the rest.  When M is not a
     circumcenter only circumcenter_selfconsistent is returned; euler_ratios
     and euler_collinear are left out when the Euler line collapses.
     """
     scale = T.diameter
-    defect = _equidistance(norm, T.vertices, M)[1]
+    ok, _, defect = _certified(norm, T.vertices, M, scale, tol)
     claims = {"circumcenter_selfconsistent": defect / scale}
-    if defect > tol.eps_geom * scale:
+    if not ok:
         return claims
     rep = full_report(norm, T, M, tol)
     N = rep.N_M

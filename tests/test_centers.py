@@ -224,6 +224,13 @@ class TestSimplexClaims:
         assert list(claims) == ["circumcenter_selfconsistent"]
         assert claims["circumcenter_selfconsistent"] > 1e-9
 
+    def test_unresolved_center_fails_self_consistency(self):
+        # every distance from (1e17, 1e17) rounds to one float: the defect
+        # reads 0 there, and the claim must fail instead
+        T = Simplex([[0, 0], [1, 0], [0, 1]])
+        claims = simplex_claims(Norm.lp(3), T, (1e17, 1e17))
+        assert claims == {"circumcenter_selfconsistent": math.inf}
+
     def test_collapsed_euler_line_skips_euler_claims(self):
         claims = simplex_claims(EUCL, REGULAR, centroid(REGULAR))
         assert "euler_ratios" not in claims and "euler_collinear" not in claims

@@ -28,6 +28,36 @@ class TestIsCircumcenter:
         # distances sqrt(1.25), 0.5, sqrt(1.25)
         assert is_circumcenter(EUCL, UNIT_TRIANGLE, (0, 0.5)) is None
 
+    def test_point_beyond_float_resolution_rejected(self):
+        # at |M| = 1e17 every V - M rounds to -M, so the defect reads exactly 0
+        T = Simplex([[0, 0], [1, 0], [0, 1]])
+        M = np.array([1e17, 1e17])
+        assert np.ptp(Norm.lp(3)(T.vertices - M)) == 0.0
+        assert is_circumcenter(Norm.lp(3), T, M) is None
+        # a far center that floats still resolve passes: a flat Euclidean
+        # triangle with R = 2.5e3 * diameter
+        flat = Simplex([[-1, 0], [1, 0], [0, 1e-4]])
+        M = (0, (1e-8 - 1) / 2e-4)
+        assert is_circumcenter(EUCL, flat, M) == pytest.approx(-M[1] + 1e-4)
+
+    def test_solver_agrees_on_a_flat_triangle(self):
+        # R = 5e5 * diameter: the float error of the distances (about 1e-10)
+        # stays below eps_geom * diameter, so the exact center certifies
+        flat = Simplex([[-1, 0], [1, 0], [0, 1e-6]])
+        res = solve_circumcenter(EUCL, flat)
+        assert res.found and res.radius == pytest.approx(5e5, rel=1e-6)
+        assert is_circumcenter(EUCL, flat, res.center) == pytest.approx(res.radius)
+
+    @pytest.mark.parametrize("norm", [EUCL, LINF, Norm.lp(3)], ids=["l2", "linf", "l3"])
+    def test_solver_agrees_far_from_the_origin(self, norm):
+        # at an offset of 1e8 the coordinates round at 1.5e-8, above
+        # eps_geom * diameter, so no point can certify; at 1e3 they still do
+        far = solve_circumcenter(norm, Simplex(UNIT_TRIANGLE.vertices + 1e8))
+        assert far.status == "not_found" and far.residual == math.inf
+        assert is_circumcenter(norm, Simplex(UNIT_TRIANGLE.vertices + 1e8), (1e8, 1e8)) is None
+        near = solve_circumcenter(norm, Simplex(UNIT_TRIANGLE.vertices + 1e3))
+        assert near.found and np.allclose(near.center, (1e3, 1e3), atol=1e-9)
+
 
 class TestSolver:
     def test_trirectangular(self):
@@ -93,6 +123,11 @@ class TestSolver:
             T = random_simplex(d, rng)
             norm = Norm.lp([1.5, 3, 4][i % 3])
             assert solve_circumcenter(norm, T).found
+        l15 = Norm.lp(1.5)
+        for i in range(60):
+            T = random_simplex(6 + i % 3, rng)
+            res = solve_circumcenter(l15, T)
+            assert res.found and is_circumcenter(l15, T, res.center) is not None
 
 
 class TestGridOracle:
@@ -241,3 +276,143 @@ class TestPolyhedralExact:
         with pytest.raises(ValueError, match="d <= 7"):
             solve_circumcenter(L1, random_simplex(8, np.random.default_rng(0)))
         assert time.perf_counter() - t0 < 1.0
+
+
+# smooth-certify simplices (perfbench/workloads.py, seed and instance index in
+# the name) that the earlier least-squares multi-start missed; a smooth norm
+# gives each a circumcenter
+SEED1_290 = [  # lp3, d=5
+    [0.7317258122996443, 0.664427574224462, -0.12622044170152058, 1.4960541306231758,
+     1.178585361657134],
+    [-0.03150615871576815, -0.1295064764521056, 1.3276972991829898, 0.12422101808380594,
+     0.03625730583098158],
+    [0.4746189209092696, 0.5150014596404768, 1.4286689083327913, -1.6872151765210612,
+     -0.6831638957303654],
+    [-0.8509463884977195, 1.90683404961918, 0.6020818067484801, 0.03818299369856067,
+     1.0141314132844288],
+    [-2.317926040192196, -0.2869408731133242, -0.4039521669386827, -1.8639511106470161,
+     -0.16148898603872583],
+    [-1.0033570124401296, -0.8036433493820244, 0.7725692891162546, 1.0392374880587074,
+     0.1361417123955627],
+]
+
+SEED1_767 = [  # lp1.5, d=6
+    [-1.8843752525810848, 1.1312959507738256, 1.0850456152369654, 0.13496074874592898,
+     -0.33823834016196475, -0.543064186648728],
+    [-2.4121414469377056, -0.7933610524563643, 0.008499284370222673, 1.666322954099883,
+     -0.4524014565315428, 0.4391948444723043],
+    [0.2341447254880267, 0.704003852042257, -0.33993625696761515, 1.9499793021550904,
+     -1.6887222848737415, 1.5367780020900366],
+    [1.5384957623979691, -0.2668850104095226, 0.3565033177567506, -0.9831449247732101,
+     0.5810231436425102, -0.689845910967098],
+    [0.7713189472605402, -1.1322640557287178, -1.518974535615908, 0.5010182981766871,
+     0.7704933700386665, 0.9152232341233212],
+    [0.27457188422367723, 0.2988622211049314, 0.029480845253353538, 0.11765806337137664,
+     0.008446432429847849, -0.13643839534319957],
+    [0.39498902367159733, -0.10598132466538245, 1.181549532610756, -0.17978843714538642,
+     -1.3434936750815505, -0.8899644353370032],
+]
+
+SEED1_1945 = [  # lp1.5, d=8
+    [0.5095622204627976, 0.6940411924404988, 1.016816333935253, -0.7380522844190887,
+     0.47210165211506583, -1.6215765431382811, -1.0784769387383326, -0.692560350616861],
+    [-1.781909507295293, 1.0525757371722047, 0.37707622405377694, -1.5400017437196318,
+     -1.1086883544553838, -1.2556671884849275, 0.2358343783657661, 0.49465021353371535],
+    [0.09479500157766878, 0.45138108919669434, -0.19235162665724778, -0.5776661573874284,
+     -1.2455269631991315, 1.5058264263387768, 0.7154699901350141, 0.7032379640607477],
+    [0.07552259859291718, -0.5857971853152028, -1.4724481688287658, 0.739854840064375,
+     -0.3738961821770045, -1.103287567633394, 1.1785916584643807, 1.4005736874662134],
+    [0.1665001982008554, -2.4046140445995285, 0.5835759467026599, -0.40829343678971997,
+     -0.6745571996197195, -0.05196421245023196, 0.7641009299512878, -0.8254235695660497],
+    [0.8844998799973256, 0.3018351878313719, -0.08138250805760033, -0.2143723598206407,
+     -0.7814318828645851, 1.088461977005103, 0.1708819974669828, 0.11094436112915582],
+    [0.5291777956259388, -0.44455626599047404, 0.15572974121301597, 1.5805371151429313,
+     -1.1570466851406132, -1.0012169798751922, 0.2992810963438866, 1.3220224281812407],
+    [0.33736545450897554, -1.2032690870523328, 0.22511863726986642, -0.9797747813758336,
+     0.08366512540050892, -0.08875086573698411, -0.14680569394466458, -1.0567187599041765],
+    [1.2390842084608624, 0.7663620051174737, 1.5456805187786724, -1.4445621793876722,
+     -0.45420233522876274, -0.16371828734276764, 0.3388708046978815, 0.528512078054225],
+]
+
+SEED2_265 = [  # lp1.5, d=8
+    [1.3708264407579311, -2.77171268028444, 0.37429054212712054, -0.315372228101814,
+     1.3272846999486476, 0.7405425442234257, 0.9531414533152556, 0.4902548378427021],
+    [-0.07046340331680143, -1.0354759240581795, -0.29924170216854534, 0.2764780733304918,
+     1.7961745798251842, 0.20073399325789534, -1.1272677838791259, 0.29286244924967764],
+    [0.900427390055633, 1.505561365227648, 1.2142252244098668, -0.2731272182209895,
+     -0.2258814626217424, -2.2638425741055164, -0.4865622222589905, -1.8810289301294076],
+    [-0.17156755749662977, 1.2540239750980349, 0.3740612849669551, -1.6290068210829391,
+     0.7713269040970337, 0.5102875629197923, -1.584248585419533, -0.8549620642484856],
+    [0.7900276548282215, 0.14735445050967172, 0.4146509052547059, -1.7280139016624754,
+     0.022989707168086626, 0.7971718245930862, -0.7417792431456, -0.17367315863206237],
+    [-0.3978666860112519, -0.1536066156440526, 0.17782754237650683, -1.385002478330717,
+     0.18789677919764458, -0.3884609605520906, 1.9866775239441363, -0.16408148331868408],
+    [0.09745191022301637, -0.6689184897864167, -0.1966310827258429, -1.1029836935097586,
+     -0.43481058495490305, -0.656295566952083, -1.8803469036139682, -1.365228843830786],
+    [-0.4489354722464204, 0.4707720521832, -0.924096435939296, -0.7228516830383401,
+     -0.802084835512488, -1.3833181312673284, -0.28828819267088107, 1.2890983600533539],
+    [-0.40297613458632014, -0.8603312666274637, 0.24429790717252564, 1.1217782556754323,
+     1.141986782863238, 0.237890092511516, 1.1443023836827335, -1.28932775985977],
+]
+
+SEED2_598 = [  # lp1.5, d=5
+    [-0.47674815471826765, -0.3175719426757109, 0.16607365489461465, -1.9686091680651108,
+     -0.3860361966564658],
+    [1.0713649972936732, 2.6044341545712175, 0.019279544168208797, 0.5146929390295214,
+     -1.3011101953517137],
+    [-0.7886942680994687, -0.6300035747129301, 0.191064334541712, -0.8444198135467442,
+     1.0992310145881483],
+    [-0.12265363770844397, 0.36559889873447143, -0.1241314307725741, 0.5385679725127756,
+     1.3772620158810498],
+    [-0.49820636283752584, -0.07867362057174775, 0.3663955337699701, 0.8312137897876305,
+     -1.0583516481717512],
+    [-0.22799090101144862, 0.1753387425389451, 0.5081185887746872, 2.3825697633477896,
+     -0.19990390178062573],
+]
+
+SEED3_167 = [  # lp3, d=8
+    [0.52084917404811, -0.6823938598476642, -0.6271253898750696, -2.2813671557038004,
+     -0.08094191699264233, -0.41998372633829356, -0.6837112832593689, 0.7327607975520923],
+    [1.2705385992463434, -1.8895345195404238, 0.40570964857771935, 0.44624580583463813,
+     -0.6414676680400082, -0.7393257045294999, 1.7395951405629384, 0.740399772954896],
+    [2.1564114087998054, -0.7910337397379017, -1.0853613843127268, -0.2810711740958493,
+     0.8740527929848296, 1.3317290156540624, 1.9887403144941322, -0.6612593734262203],
+    [-1.47274148402545, 1.005771534472939, 0.9144768706778339, 0.5816971742769128,
+     1.4728405559685487, -0.8237137092863562, -1.655031425439686, 2.093451598241413],
+    [0.31126148433817646, -0.3052235137501672, 0.8207834951641584, 2.2696313048362637,
+     0.19282432802993843, 1.778733660816933, 0.10148503722977761, 1.9686290164760754],
+    [0.20561059836164966, 1.2392641489366183, -0.005673936397766219, 0.6271431090317308,
+     0.24211660301950236, -0.41594978718892406, 0.12067936295819677, 0.7307035155603182],
+    [-0.10527106907838579, -0.5388365978980394, 0.4382268288296816, 1.489734240656444,
+     -0.07796918871925551, -1.0161038279797805, -0.8898145230437738, 0.032523498295893044],
+    [1.6848778022004791, -1.0555013064634042, 1.1689560608732887, -0.19134038388851396,
+     -0.6864349461573213, -0.5414464248223025, 1.1800532995109927, -0.4758098494225596],
+    [1.3906669524729063, 2.0761651149119444, -0.8839995452506527, -1.3202063112003959,
+     -1.795446727910972, 0.542234998429129, -0.9140051975070744, -0.6517276147901305],
+]
+
+
+class TestSmoothSolver:
+    @pytest.mark.parametrize("p, V", [(1.5, SEED1_767), (1.5, SEED1_1945), (1.5, SEED2_265),
+                                      (1.5, SEED2_598), (3, SEED3_167)],
+                             ids=["s1-767", "s1-1945", "s2-265", "s2-598", "s3-167"])
+    def test_former_misses_found(self, p, V):
+        norm, T = Norm.lp(p), Simplex(V)
+        res = solve_circumcenter(norm, T)
+        assert res.found
+        assert res.residual <= 1e-9 * T.diameter
+        assert is_circumcenter(norm, T, res.center) == pytest.approx(res.radius)
+
+    def test_non_unique_center(self):
+        # three certified l3 centers, R = 3.159, 3.203 and 7.058
+        norm, T = Norm.lp(3), Simplex(SEED1_290)
+        centers = np.array([
+            [0.68649126983, 0.338478213061, -1.710633781385, -0.922270713356, -1.195459491916],
+            [0.132867845922, 1.441963403217, -1.503792621437, 0.06483368428, -1.807340655938],
+            [-0.608574259749, 3.953708877568, -3.4580762893, 2.850563683518, -5.317549936596]])
+        radii = [is_circumcenter(norm, T, M) for M in centers]
+        assert radii == pytest.approx([3.159369, 3.20275, 7.058048], abs=1e-6)
+        res = solve_circumcenter(norm, T)
+        assert res.found and res.starts_used == 1
+        assert is_circumcenter(norm, T, res.center) == pytest.approx(res.radius)
+        assert np.linalg.norm(centers - res.center, axis=1).min() <= 1e-9 * T.diameter

@@ -68,6 +68,36 @@ class TestCenters:
         assert main(["centers", inst, "--assume-center", "0.3,0.1"]) == EXIT_NO_CENTER
         assert "not a circumcenter" in capsys.readouterr().err
 
+    def test_assume_center_beyond_float_resolution(self, tmp_path, capsys):
+        # every distance from (1e17, 1e17) rounds to the same float
+        obj = {"norm": {"kind": "lp", "p": 3},
+               "problem": {"simplex": {"vertices": [[0, 0], [1, 0], [0, 1]]}}}
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst, "--assume-center=1e17,1e17"]) == EXIT_NO_CENTER
+        assert "not a circumcenter" in capsys.readouterr().err
+
+    def test_flat_triangle_far_center(self, tmp_path, capsys):
+        # R = 5e5 * diameter, within float resolution at the default tolerance
+        obj = {"norm": {"kind": "euclidean"},
+               "problem": {"simplex": {"vertices": [[-1, 0], [1, 0], [0, 1e-6]]}}}
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["report"]["R"] == pytest.approx(5e5, rel=1e-6)
+
+    @pytest.mark.parametrize("norm, height, radius", [
+        ({"kind": "euclidean"}, 0.03, 16.68), ({"kind": "lp", "p": 3}, 8e-4, 20.41)],
+        ids=["l2", "l3"])
+    def test_tight_tol_obtuse_triangle(self, tmp_path, capsys, norm, height, radius):
+        # R is about 8-10 * diameter, inside float resolution at eps_geom = 1e-13
+        obj = {"norm": norm,
+               "problem": {"simplex": {"vertices": [[-1, 0], [1, 0], [0, height]]}}}
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst, "--tol", "1e-13"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["tolerances"]["eps_geom"] == 1e-13
+        assert report["report"]["R"] == pytest.approx(radius, abs=0.01)
+        assert report["diagnostics"]["solver"]["residual"] <= 1e-13 * 2
+
     def test_assume_center_negative_coordinate(self, tmp_path, capsys):
         obj = {"norm": {"kind": "lp", "p": "inf"},
                "problem": {"simplex": {"vertices": [[0, 0], [-1, 1], [-2, 0]]}}}
@@ -161,8 +191,9 @@ class TestCenters:
          "problem": {"polygon": {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
                                  "center": [0, 0], "radius": None}}},
         dict(SIMPLEX_L1, problem={"simplex": {}}),
+        dict(SIMPLEX_L1, seed=True),
     ], ids=["lp_missing_p", "lp_null_p", "lp_list_p", "null_eps_geom", "null_radius",
-            "simplex_missing_vertices"])
+            "simplex_missing_vertices", "bool_seed"])
     def test_malformed_record_invalid(self, tmp_path, capsys, obj):
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
@@ -224,15 +255,28 @@ class TestFigure:
         assert "planar" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy_submodules():
-    # scipy.spatial, scipy.ndimage and scipy.optimize load only on the
-    # polyhedral, grid-oracle and smooth-solver paths
+def _scipy_submodules_after(code):
+    """Output lines of a fresh interpreter running code, then printing the
+    SciPy submodules it loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, minkcenters.cli; "
-            "print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage', 'scipy.optimize') "
-            "if m in sys.modules))")
+    code += ("; print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage', 'scipy.optimize') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    # scipy.spatial, scipy.ndimage and scipy.optimize load only on the
+    # polyhedral, grid-oracle and smooth-fallback paths
+    assert _scipy_submodules_after("import sys, minkcenters.cli") == ["[]"]
+
+
+def test_newton_solve_loads_no_scipy_submodules():
+    code = ("import sys, numpy as np; from minkcenters import Norm, solve_circumcenter; "
+            "from minkcenters.verify import random_simplex; "
+            "res = solve_circumcenter(Norm.lp(3), random_simplex(4, np.random.default_rng(0))); "
+            "print(res.found, res.starts_used)")
+    assert _scipy_submodules_after(code) == ["True 1", "[]"]

@@ -87,6 +87,33 @@ class TestFacets:
             Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)]).facets(3)
 
 
+class TestGradient:
+    @pytest.mark.parametrize("norm", [Norm.lp(1.5), Norm.lp(3), Norm.lp(4), Norm.euclidean()])
+    def test_matches_central_differences(self, norm):
+        X = np.random.default_rng(1).normal(size=(20, 4))
+        h = 1e-6
+        E = np.eye(4)
+        fd = np.stack([(norm(X + h * e) - norm(X - h * e)) / (2 * h) for e in E], axis=1)
+        assert np.allclose(norm.gradient(X), fd, atol=1e-8)
+
+    @pytest.mark.parametrize("norm", [Norm.lp(1.5), Norm.lp(3), Norm.euclidean()])
+    def test_zero_row_gets_zero_gradient(self, norm):
+        G = norm.gradient([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+        assert np.array_equal(G[0], np.zeros(3))
+        assert np.all(np.isfinite(G))
+
+    def test_subgradients_read_the_gradient(self):
+        x = np.array([0.3, -1.2, 2.0])
+        for norm in (Norm.lp(1.5), Norm.lp(3), Norm.euclidean()):
+            assert np.array_equal(norm.subgradients(x, TOL.eps_geom), norm.gradient(x[None]))
+
+    @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(math.inf),
+                                      Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])])
+    def test_non_smooth_norm_has_none(self, norm):
+        with pytest.raises(ValueError, match="not smooth"):
+            norm.gradient([[1.0, 2.0]])
+
+
 class TestIsosceles:
     def test_l1_axes(self):
         assert is_isosceles_orthogonal(Norm.lp(1), (1, 0), (0, 1))
