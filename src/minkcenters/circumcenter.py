@@ -6,7 +6,7 @@ a simplex may have a whole flat set of circumcenters, or none.
 
 Each norm class has one solver path:
 
-* Euclidean: an exact linear solve.
+* Euclidean (``Norm.euclidean()`` or ``Norm.lp(2)``): an exact linear solve.
 * Polyhedral (l_1, l_inf, polytope unit balls; every non-smooth norm here):
   an exact combinatorial solve over the vertices of one polyhedron, the
   epigraph of max_i ||A_i - M||, enumerated with one convex hull (see
@@ -165,14 +165,14 @@ def _polyhedral_center(norm, T, tol):
 def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     """Locate a circumcenter of T under the given norm.
 
-    Euclidean: one exact linear solve.  Polyhedral (non-smooth) norms: the
-    exact minimum-radius center, or status "none" when no center exists.
-    Smooth l_p: Newton on the bisector system from the Euclidean center,
-    then the fallbacks of ``_smooth_center``.  The answer is "found" only
-    where ``_certified`` accepts it, else "not_found".
+    Euclidean (p = 2): one exact linear solve.  Polyhedral (non-smooth)
+    norms: the exact minimum-radius center, or status "none" when no center
+    exists.  Other smooth l_p: Newton on the bisector system from the
+    Euclidean center, then the fallbacks of ``_smooth_center``.  The answer
+    is "found" only where ``_certified`` accepts it, else "not_found".
     """
     V = T.vertices
-    if norm.kind == "euclidean":
+    if norm.p == 2.0:
         return _result(norm, T, _euclidean_center(V), 1, tol)
 
     if not norm.smooth:

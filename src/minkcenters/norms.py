@@ -2,15 +2,16 @@
 
 A norm is specified in one of three ways: the Euclidean norm, an l_p norm
 with exponent p >= 1 (including infinity), or a polyhedral norm given by the
-vertices of a centrally symmetric unit-ball polytope.  Polyhedral norms are
-evaluated through the Minkowski functional of the polytope: the facet
-inequalities are enumerated once at construction time and the norm is the
-maximum of the facet functionals.
+vertices of a centrally symmetric unit-ball polytope.  It has one of two
+shapes: smooth (l_p with 1 < p < inf, the Euclidean norm being l_2) or
+polyhedral, the maximum of facet functionals (l_1, l_inf, and polytope norms,
+whose facets are enumerated once at construction time).
 
 On top of plain evaluation, this module decides the two classical
 orthogonality relations of normed spaces (isosceles and Birkhoff).  Birkhoff
 orthogonality is read off the norm's subgradients (the supporting functionals
-of the unit ball), which makes it exact for smooth and polyhedral norms alike.
+of the unit ball): the gradient of a smooth norm, or the facet rows a
+polyhedral norm attains at x.  That makes it exact for both shapes.
 """
 
 from __future__ import annotations
@@ -49,15 +50,20 @@ DEFAULT_TOL = Tolerances()
 class Norm:
     """A norm on R^d: Euclidean, l_p, or polyhedral (unit-ball vertices).
 
-    Instances are immutable and callable: ``norm(v)`` evaluates the norm of
-    ``v``, vectorized over the leading axes of an ``(..., d)`` array.
+    Behaviour reads the shape: ``p`` (2.0 for the Euclidean norm, None for a
+    polytope norm) and a polytope norm's stored facet rows.  ``kind`` only
+    names the JSON record.  Instances are immutable and callable: ``norm(v)``
+    evaluates the norm of ``v``, vectorized over the leading axes of an
+    ``(..., d)`` array.
     """
 
+    _FIELDS = {"euclidean": {"kind"}, "lp": {"kind", "p"}, "polyhedral": {"kind", "vertices"}}
+
     def __init__(self, kind, p=None, vertices=None):
-        if kind not in ("euclidean", "lp", "polyhedral"):
+        if kind not in self._FIELDS:
             raise ValueError(f"unknown norm kind: {kind!r}")
         self.kind = kind
-        self.p = None
+        self.p = 2.0 if kind == "euclidean" else None
         self.dim = None  # fixed only for polyhedral norms
         self._facets = None
         if kind == "lp":
@@ -122,20 +128,21 @@ class Norm:
             raise ValueError(f"vector dimension {v.shape[-1]} != norm dimension {self.dim}")
         if v.shape[-1] < 1:
             raise ValueError("empty vector")
-        if self.kind == "euclidean":
+        if self._facets is not None:
+            return np.maximum(np.max(v @ self._facets.T, axis=-1), 0.0)
+        if self.p == 2.0:
             return np.linalg.norm(v, axis=-1)
-        if self.kind == "lp":
-            if math.isinf(self.p):
-                return np.max(np.abs(v), axis=-1)
-            return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
-        return np.maximum(np.max(v @ self._facets.T, axis=-1), 0.0)
+        if math.isinf(self.p):
+            return np.max(np.abs(v), axis=-1)
+        return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
 
     def subgradients(self, x, eps):
         """Extreme points of the subdifferential of the norm at x, as rows.
 
         Each row g supports the unit ball at x: g.x = ||x|| and g.y <= ||y||
-        for every y.  A coordinate or facet counts as active when it comes
-        within eps*||x|| of attaining the norm.  x must be nonzero.
+        for every y.  A smooth norm has one, its gradient.  A polyhedral
+        norm has the facet rows F_f that come within eps*||x|| of attaining
+        the norm, F_f.x >= (1 - eps) ||x||.  x must be nonzero.
         """
         x = np.asarray(x, dtype=float)
         nx = float(self(x))
@@ -144,42 +151,38 @@ class Norm:
         if self.smooth:
             return self.gradient(x[None, :])
         slack = eps * nx
-        if self.kind == "polyhedral":
-            F = self._facets
-            return F[F @ x >= nx - slack]
-        if math.isinf(self.p):
-            return np.diag(np.sign(x))[np.abs(x) >= nx - slack]
-        zero = np.flatnonzero(np.abs(x) <= slack)  # l_1
-        G = np.tile(np.sign(x), (2 ** len(zero), 1))
-        G[:, zero] = list(itertools.product((-1.0, 1.0), repeat=len(zero)))
-        return G
+        if self.p == 1.0:
+            # flipping x_k costs a sign row 2|x_k|, so only rows that flip where
+            # 2|x_k| <= slack can pass the filter; facets(d) has all 2^d rows
+            flip = np.flatnonzero(2.0 * np.abs(x) <= slack)
+            F = np.tile(np.where(x < 0, -1.0, 1.0), (2 ** len(flip), 1))
+            F[:, flip] = list(itertools.product((1.0, -1.0), repeat=len(flip)))
+        else:
+            F = self.facets(len(x))
+        return F[F @ x >= nx - slack]
 
     def gradient(self, X):
-        """Gradient of a smooth norm at each row of an (n, d) array, as rows.
-
-        For l_p it is sign(x) |x / ||x|| |^(p-1); for the Euclidean norm,
-        x / ||x||.  A zero row gets a zero gradient, which is a subgradient
-        there.
+        """Gradient sign(x) |x / ||x|| |^(p-1) of a smooth norm at each row of
+        an (n, d) array, as rows (x / ||x|| for the Euclidean norm, p = 2).
+        A zero row gets a zero gradient, which is a subgradient there.
         """
         if not self.smooth:
             raise ValueError(f"{self!r} is not smooth and has no gradient")
         X = np.asarray(X, dtype=float)
         n = self(X)[:, None]
         U = np.divide(X, n, out=np.zeros_like(X), where=n > 0)
-        if self.kind == "euclidean":
-            return U
         return np.sign(U) * np.abs(U) ** (self.p - 1.0)
 
     def facets(self, d):
-        """Rows F_f with ||x|| = max_f F_f.x on R^d (polyhedral kinds only).
+        """Rows F_f with ||x|| = max_f F_f.x on R^d (polyhedral norms only).
 
-        l_inf gives +-e_k, l_1 the 2^d sign vectors (d <= 7), and a polytope
-        norm its facet functionals.  The l_1 and l_inf rows are built on each
-        call, not stored on the norm.
+        A polytope norm gives its stored facet functionals, l_inf +-e_k and
+        l_1 the 2^d sign vectors (d <= 7).  The l_1 and l_inf rows are built
+        on each call, not stored on the norm.
         """
         if self.smooth:
             raise ValueError(f"{self!r} is smooth and has no facets")
-        if self.kind == "polyhedral":
+        if self._facets is not None:
             if d != self.dim:
                 raise ValueError(f"dimension {d} != norm dimension {self.dim}")
             return self._facets
@@ -191,13 +194,12 @@ class Norm:
 
     @property
     def smooth(self):
-        """True when the unit sphere has a unique supporting line everywhere.
+        """True when the unit sphere has a unique supporting line everywhere:
+        no stored facets and 1 < p < inf.
 
         Guarantees existence of circumcenters for every simplex.
         """
-        if self.kind == "euclidean":
-            return True
-        return self.kind == "lp" and 1.0 < self.p < math.inf
+        return self._facets is None and 1.0 < self.p < math.inf
 
     # -- (de)serialization -------------------------------------------------
 
@@ -213,24 +215,15 @@ class Norm:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("norm record must be an object with a 'kind' field")
         kind = obj["kind"]
-        if kind == "euclidean":
-            extra = set(obj) - {"kind"}
-        elif kind == "lp":
-            extra = set(obj) - {"kind", "p"}
-        elif kind == "polyhedral":
-            extra = set(obj) - {"kind", "vertices"}
-        else:
+        if not isinstance(kind, str) or kind not in cls._FIELDS:
             raise ValueError(f"unknown norm kind: {kind!r}")
+        extra = set(obj) - cls._FIELDS[kind]
         if extra:
             raise ValueError(f"unknown fields in norm record: {sorted(extra)}")
-        if kind == "euclidean":
-            return cls.euclidean()
-        if kind == "lp":
-            p = obj.get("p")
-            if p in ("inf", "infinity"):
-                p = math.inf
-            return cls.lp(p)
-        return cls.polyhedral(obj.get("vertices"))
+        p = obj.get("p")
+        if p in ("inf", "infinity"):
+            p = math.inf
+        return cls(kind, p=p, vertices=obj.get("vertices"))
 
     def __repr__(self):
         if self.kind == "lp":

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .centers import complementary_point, full_report, m_hyperplanes, monge_lines, monge_point
+from .centers import euler_point, full_report, m_hyperplanes, monge_lines, monge_point
 from .circumcenter import _certified, solve_circumcenter
 from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import sample_cyclic_polygon, verify_polygon_theorems
@@ -144,7 +144,7 @@ def suite_orthogonality(trials, seed=0, tol=None, dims=(2, 3, 4)):
             axioms = max(0.0 if nx > 0 else 1.0,
                          abs(norm(lam * x) - lam * nx) / max(1.0, nx),
                          max(0.0, nxy - nx - ny) / max(1.0, nx + ny))
-            stats["norm_axioms"].add(axioms, 1e-12 if norm.kind != "polyhedral" else tol.eps_geom)
+            stats["norm_axioms"].add(axioms, 1e-12 if norm.dim is None else tol.eps_geom)
         stats["lp2_matches_euclidean"].add(abs(l2(x) - eucl(x)) / max(1.0, eucl(x)), 1e-12)
         if d == 2:
             stats["polyhedral_crosscheck"].add(
@@ -220,15 +220,15 @@ def suite_simplex(trials, dims=(2, 3, 4, 5), norms=("euclidean", "l1.5", "l3", "
               "euler_ratios": 1e-10}
     for norm, T in itertools.islice(_simplex_stream(list(norms), list(dims), rng), trials):
         d, scale = T.dim, T.diameter
-        # monge_point and complementary_point are affine in (T, M) for any M
+        # N_M and P_M (k = d-1 and 1) are affine in (vertices, M) for any M;
+        # the image vertices are not wrapped in a Simplex, whose
+        # general-position test is not affine-invariant
         M = aux.normal(size=d)
         A = aux.normal(size=(d, d)) + np.eye(d) * 2
         b = aux.normal(size=d)
-        phiT = Simplex(T.vertices @ A.T + b)
-        phiM = A @ M + b
-        inv = max(np.linalg.norm(monge_point(phiT, phiM) - (A @ monge_point(T, M) + b)),
-                  np.linalg.norm(complementary_point(phiT, phiM)
-                                 - (A @ complementary_point(T, M) + b)))
+        inv = max(np.linalg.norm(euler_point(T.vertices @ A.T + b, A @ M + b, k)
+                                 - (A @ euler_point(T.vertices, M, k) + b))
+                  for k in (d - 1, 1))
         stats["affine_invariance"].add(inv / scale, REL_TOL)
         res = solve_circumcenter(norm, T, tol)
         if norm.smooth:

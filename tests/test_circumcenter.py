@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from minkcenters import (Norm, Simplex, grid_oracle_circumcenters, is_circumcenter,
-                         solve_circumcenter)
+from minkcenters import (Norm, Simplex, circumcenter, grid_oracle_circumcenters,
+                         is_circumcenter, solve_circumcenter)
+from minkcenters.norms import DEFAULT_TOL
 from minkcenters.verify import random_polyhedral_norm, random_simplex
 
 EUCL = Norm.euclidean()
@@ -92,13 +93,21 @@ class TestSolver:
                 assert is_circumcenter(norm, T, res.center) is not None
 
     def test_euclidean_fast_path_matches_optimizer(self):
-        # Norm.lp(2) takes the optimization path, Norm.euclidean() the linear solve
+        # solve_circumcenter takes the linear solve for Norm.lp(2) too, so call
+        # the smooth solver directly; it starts at the linear solve's answer,
+        # so also run Newton from the centroid, its first fallback start
         rng = np.random.default_rng(12)
+        l2 = Norm.lp(2)
         for d in range(2, 6):
             T = random_simplex(d, rng)
             fast = solve_circumcenter(EUCL, T)
-            slow = solve_circumcenter(Norm.lp(2), T)
-            assert np.allclose(fast.center, slow.center, atol=1e-8 * T.diameter)
+            c = T.vertices.mean(axis=0)
+            V = T.vertices - c
+            slow, _, _ = circumcenter._smooth_center(l2, V, T.diameter, DEFAULT_TOL)
+            newton = circumcenter._newton(*circumcenter._bisector_system(l2, V), np.zeros(d),
+                                          T.diameter)
+            for M in (slow, newton):
+                assert np.allclose(fast.center, c + M, atol=1e-8 * T.diameter)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(13)

@@ -233,6 +233,16 @@ class TestVerify:
         assert code == EXIT_OK
         assert "smooth_solver_success" not in out
 
+    def test_affine_image_outside_general_position_test(self, capsys):
+        # seed 525's affine map A (cond 211) sends the simplex to vertices that
+        # fail Simplex's general-position test, which is not affine-invariant;
+        # the check must still run and pass on the mapped vertex array
+        code = main(["verify", "--suite", "simplex", "--norms", "euclidean", "--dims", "6",
+                     "--trials", "1", "--seed", "525"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        assert "PASS simplex/affine_invariance: trials=1 " in captured.out
+
     def test_deterministic_output(self, capsys):
         args = ["verify", "--suite", "orthogonality", "--trials", "10", "--seed", "7"]
         main(args)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minkcenters import Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
-from minkcenters.verify import random_polyhedral_norm
+from minkcenters import (Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal,
+                         solve_circumcenter)
+from minkcenters.verify import random_polyhedral_norm, random_simplex
 
 TOL = Tolerances()
 
@@ -112,6 +113,61 @@ class TestGradient:
     def test_non_smooth_norm_has_none(self, norm):
         with pytest.raises(ValueError, match="not smooth"):
             norm.gradient([[1.0, 2.0]])
+
+
+CROSS = Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])
+SQUARE = Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
+def row_set(G):
+    return G[np.lexsort(G.T[::-1])]
+
+
+class TestTwoShapes:
+    """l_1 and l_inf read their subgradients from facet rows as polytope
+    norms do, and the Euclidean norm is l_2."""
+
+    # x within a few eps_geom of a kink of the unit ball, where the active
+    # rows depend on the tolerance
+    BAND = [((1, 7.5e-10), (0, 1)), ((1, 4e-10), (0, 1)), ((-3, 2.9e-9), (0.2, -1)),
+            ((1, 0), (0, 1)), ((2, 2 + 3e-9), (1, -1)), ((2, -2 + 1e-9), (1, 1)),
+            ((1, 1 + 2.5e-9), (1, -1)), ((5, 1e-12), (1e-10, 1))]
+
+    @pytest.mark.parametrize("x, y", BAND)
+    @pytest.mark.parametrize("norm, polytope", [(Norm.lp(1), CROSS), (Norm.lp(math.inf), SQUARE)],
+                             ids=["l1", "linf"])
+    def test_lp_matches_its_polytope(self, norm, polytope, x, y):
+        G, H = norm.subgradients(x, TOL.eps_geom), polytope.subgradients(x, TOL.eps_geom)
+        assert G.shape == H.shape
+        assert np.allclose(row_set(G), row_set(H), atol=1e-12)
+        assert is_birkhoff_orthogonal(norm, x, y) == is_birkhoff_orthogonal(polytope, x, y)
+
+    def test_euclidean_is_l2(self):
+        eucl, l2 = Norm.euclidean(), Norm.lp(2)
+        # np.linalg.norm of a single vector rounds differently from the power
+        # sum for 2 of these 1000, e.g. (-3.77227516, 0.26062975, -0.02544532)
+        X = np.random.default_rng(0).normal(size=(1000, 3))
+        assert np.array_equal(eucl(X), l2(X))
+        assert all(eucl(x) == l2(x) for x in X)
+        assert np.array_equal(eucl.gradient(X), l2.gradient(X))
+        eps = TOL.eps_geom
+        assert all(np.array_equal(eucl.subgradients(x, eps), l2.subgradients(x, eps))
+                   for x in X[:20])
+        T = random_simplex(4, np.random.default_rng(4))
+        assert np.array_equal(solve_circumcenter(eucl, T).center, solve_circumcenter(l2, T).center)
+
+    def test_records_keep_their_kind(self):
+        assert Norm.euclidean().to_json() == {"kind": "euclidean"}
+        assert Norm.lp(2).to_json() == {"kind": "lp", "p": 2.0}
+
+    def test_l1_subgradients_beyond_facet_cap(self):
+        # facets(d) stops at d = 7, but only the 2^9 sign choices on the nine
+        # near-zero coordinates can be active
+        x = np.array([1.0] + [3e-11] * 9)
+        G = Norm.lp(1).subgradients(x, TOL.eps_geom)
+        assert G.shape == (512, 10)
+        assert np.all(G[:, 0] == 1.0)
+        assert len(np.unique(G, axis=0)) == 512
 
 
 class TestIsosceles:
