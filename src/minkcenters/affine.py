@@ -7,7 +7,7 @@ Euclidean metric regardless of the ambient norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ class Line:
 class Hyperplane:
     base: np.ndarray
     spanning: np.ndarray  # (d-1, d), rank d-1
+    _normal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", _vec(self.base))
@@ -52,10 +53,12 @@ class Hyperplane:
         d = self.base.shape[0]
         if S.shape != (d - 1, d):
             raise ValueError(f"expected {d - 1} spanning vectors of dimension {d}")
-        if np.linalg.matrix_rank(S, tol=1e-12 * max(1.0, np.abs(S).max())) < d - 1:
+        # one SVD gives the rank test and the normal, the null vector of S
+        _, sv, vh = np.linalg.svd(S)
+        if not sv[-1] > 1e-12 * max(1.0, np.abs(S).max()):
             raise ValueError("spanning set is rank deficient")
+        object.__setattr__(self, "_normal", vh[-1])
 
     def normal(self):
         """Euclidean unit normal (auxiliary metric, used for incidence only)."""
-        _, _, vh = np.linalg.svd(self.spanning)
-        return vh[-1]
+        return self._normal

@@ -7,9 +7,11 @@ Every center here is one point of the affine family
 
 over the vertices V of a d-simplex and a reference point M: k = d+1 gives
 the centroid G, k = d the Feuerbach center F_M (sphere radius R/d), k = d-1
-the Monge point N_M and k = 1 the complementary point P_M.  All of them are
-affine constructions: only the sphere radii require M to be a certified
-circumcenter.
+the Monge point N_M and k = 1 the complementary point P_M.  On fewer rows
+the same kernel gives the face centroids that build the Monge lines and
+M-hyperplanes: k = d-1 on the d-1 vertices of a ridge, k = 2 on the two of
+an edge (its midpoint).  All of them are affine constructions: only the
+sphere radii require M to be a certified circumcenter.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .affine import Hyperplane, Line
 from .circumcenter import is_circumcenter, solve_circumcenter
 from .norms import DEFAULT_TOL
-from .simplex import face_centroid, ridge_edge_pairs
 
 __all__ = [
     "CentersReport",
@@ -57,10 +58,14 @@ def euler_point(V, M, k):
     return M + np.sum(np.asarray(V, dtype=float) - M, axis=-2) / k
 
 
-def _vertex_deleted(V):
-    """(n, n-1, dim) array whose entry i is V without row i."""
+def _vertex_deleted(V, drop=None):
+    """(m, n-k, dim) array whose entry j is V without the k rows drop[j], the
+    rest in order; by default drop[i] = [i], so entry i is V without row i."""
     n = len(V)
-    return V[np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)]
+    drop = np.arange(n)[:, None] if drop is None else drop
+    keep = np.ones((len(drop), n), dtype=bool)
+    keep[np.arange(len(drop))[:, None], drop] = False
+    return V[np.nonzero(keep)[1].reshape(len(drop), -1)]
 
 
 def _division_points(V, M, k):
@@ -83,14 +88,16 @@ def complementary_point(T, M):
 
 
 def _monge_pairs(T, M, tol):
-    """(ridge, ridge centroid, direction from M to the opposite edge midpoint)
-    for every (ridge, opposite edge) pair, skipping M at the edge midpoint."""
+    """(ridges, ridge centroids, directions from M to the opposite edge
+    midpoints) over the C(d+1, 2) edges in lexicographic order, as arrays,
+    without the pair whose edge midpoint is M."""
     M = np.asarray(M, dtype=float)
-    scale = T.diameter
-    for ridge, edge in ridge_edge_pairs(T):
-        direction = face_centroid(T, edge) - M
-        if np.linalg.norm(direction) > tol.eps_geom * scale:
-            yield ridge, face_centroid(T, ridge), direction
+    V, d = T.vertices, T.dim
+    edges = np.transpose(np.triu_indices(d + 1, 1))
+    directions = euler_point(V[edges], M, 2) - M
+    keep = np.linalg.norm(directions, axis=1) > tol.eps_geom * T.diameter
+    ridges = _vertex_deleted(V, edges[keep])
+    return ridges, euler_point(ridges, M, d - 1), directions[keep]
 
 
 def monge_lines(T, M, tol=DEFAULT_TOL):
@@ -99,7 +106,8 @@ def monge_lines(T, M, tol=DEFAULT_TOL):
 
     Pairs where M coincides with the edge midpoint are skipped (at most one).
     """
-    return [Line(base, direction) for _, base, direction in _monge_pairs(T, M, tol)]
+    _, bases, directions = _monge_pairs(T, M, tol)
+    return [Line(base, direction) for base, direction in zip(bases, directions)]
 
 
 def m_hyperplanes(T, M, tol=DEFAULT_TOL):
@@ -107,15 +115,11 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     the opposite edge midpoint.  Pairs with M at the midpoint, or with that
     line parallel to F, are skipped; at least d hyperplanes always remain.
     """
-    V = T.vertices
-    rank_tol = 1e-10 * max(1.0, T.diameter)
-    planes = []
-    for ridge, base, direction in _monge_pairs(T, M, tol):
-        span = np.vstack([V[list(ridge[1:])] - V[ridge[0]], direction])
-        if np.linalg.matrix_rank(span, tol=rank_tol) < T.dim - 1:
-            continue  # direction parallel to the ridge
-        planes.append(Hyperplane(base, span))
-    return planes
+    ridges, bases, directions = _monge_pairs(T, M, tol)
+    span = np.concatenate([ridges[:, 1:] - ridges[:, :1], directions[:, None]], axis=1)
+    # rank d-1 unless the direction is parallel to the ridge
+    keep = np.linalg.svd(span, compute_uv=False)[:, -1] > 1e-10 * max(1.0, T.diameter)
+    return [Hyperplane(base, rows) for base, rows in zip(bases[keep], span[keep])]
 
 
 def _affine_ratio(M, X, s):

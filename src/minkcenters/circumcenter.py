@@ -19,11 +19,13 @@ Each norm class has one solver path:
   Acta Math. Hungar. 89, 2000).  When Newton fails there, a continuation in
   p from the Euclidean center and then a fixed seeded list of starts follow
   (see ``_smooth_center``).  A center always exists in exact arithmetic,
-  but it need not be unique: l_3 simplices at d >= 4 with two or three
-  centers occur.  The solver returns the first center that certifies, in
-  that order: the one Newton reaches from the Euclidean center, the end of
-  the continuation, or the one reached from the earliest start, by Newton
-  before ``least_squares``.  It is not the least-radius center.
+  but it need not be unique: l_3 simplices with three centers occur from
+  d = 3 on (``random_simplex(3, default_rng(132))`` has centers at
+  R/diameter = 2.912, 2.975 and 3.192).  The solver returns the first
+  center that certifies, in that order: the one Newton reaches from the
+  Euclidean center, the end of the continuation, or the one reached from
+  the earliest start, by Newton before ``least_squares``.  It is not the
+  least-radius center.
 
 Every path accepts a center by one test, ``_certified``, which is also
 ``is_circumcenter``'s, so a "found" center always passes is_circumcenter.
@@ -181,17 +183,19 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
             return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
         return _result(norm, T, M, 1, tol)
 
-    c = V.mean(axis=0)
-    M, starts_used, residual = _smooth_center(norm, V - c, T.diameter, tol)
+    M, starts_used, residual = _smooth_center(norm, T, tol)
     if M is None:
         return CircumResult("not_found", None, None, residual, starts_used)
-    return _result(norm, T, c + M, starts_used, tol)
+    return _result(norm, T, M, starts_used, tol)
 
 
-def _smooth_center(norm, V, diam, tol):
-    """Circumcenter of the centred vertices V under a smooth l_p norm.
+def _smooth_center(norm, T, tol):
+    """Circumcenter of T under a smooth l_p norm.
 
-    Tries, in order, until a point certifies (``_certified``):
+    The solves run on the centred vertices V = T.vertices - c.  Each
+    candidate c + M is certified on T's own coordinates, as ``_result``
+    does, so a point that rounds out of tolerance there goes on to the next
+    one.  Tries, in order, until a point certifies (``_certified``):
 
     1. Newton on the bisector system from the Euclidean center M0;
     2. ``_p_continuation`` from M0;
@@ -205,42 +209,41 @@ def _smooth_center(norm, V, diam, tol):
     Returns (M or None, starts tried, least defect seen).  Stage 2 counts as
     the second start, and each start of stages 3 and 4 once per solver.
     """
-    d = V.shape[1]
+    c = T.vertices.mean(axis=0)
+    V, diam, d = T.vertices - c, T.diameter, T.dim
     F, J = _bisector_system(norm, V)
     M0 = _euclidean_center(V)
-    M = _newton(F, J, M0, diam)
-    ok, _, best = _certified(norm, V, M, diam, tol)
-    if ok:
-        return M, 1, best
-    M = _p_continuation(norm.p, V, M0, diam, tol)
-    if M is not None:
-        return M, 2, best
 
-    # imported on entry to the fallback, which fewer than 1 in 100 l_p solves
-    # reaches, rather than by the rare least_squares call itself, so that a
-    # long batch's peak memory does not hinge on whether that call happens
-    from scipy.optimize import least_squares
+    def candidates():
+        yield _newton(F, J, M0, diam)
+        yield _p_continuation(norm.p, V, M0, diam, tol)
+        # imported on entry to the fallback, which fewer than 1 in 100 l_p
+        # solves reaches, rather than by the rare least_squares call itself,
+        # so that a long batch's peak memory does not hinge on whether that
+        # call happens
+        from scipy.optimize import least_squares
 
-    def newton(s):
-        return _newton(F, J, s, diam)
+        rng = np.random.default_rng(0)
+        reach = 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
+        U = rng.normal(size=(RANDOM_STARTS, d))
+        U *= (rng.uniform(0.0, reach, size=(RANDOM_STARTS, 1))
+              / np.linalg.norm(U, axis=1, keepdims=True))
+        starts = np.vstack([np.zeros(d), V, U])
+        for s in starts:
+            yield _newton(F, J, s, diam)
+        for s in starts:
+            yield least_squares(F, s, jac=J, xtol=3e-16, ftol=3e-16, gtol=3e-16,
+                                max_nfev=MAX_NFEV_PER_DIM * d).x
 
-    def trust_region(s):
-        return least_squares(F, s, jac=J, xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                             max_nfev=MAX_NFEV_PER_DIM * d).x
-
-    rng = np.random.default_rng(0)
-    reach = 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
-    U = rng.normal(size=(RANDOM_STARTS, d))
-    U *= rng.uniform(0.0, reach, size=(RANDOM_STARTS, 1)) / np.linalg.norm(U, axis=1, keepdims=True)
-    starts = np.vstack([np.zeros(d), V, U])
-    tries = [(solve, s) for solve in (newton, trust_region) for s in starts]
-    for k, (solve, s) in enumerate(tries, start=3):
-        M = solve(s)
-        ok, _, res = _certified(norm, V, M, diam, tol)
+    best = np.inf
+    for k, M in enumerate(candidates(), start=1):
+        if M is None:
+            continue  # the continuation gave up
+        ok, _, res = _certified(norm, T.vertices, c + M, diam, tol)
         best = min(best, res)
         if ok:
-            return M, k, best
-    return None, len(tries) + 2, best
+            return c + M, k, best
+    return None, k, best
 
 
 def _bisector_system(norm, V):

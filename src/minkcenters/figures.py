@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .centers import full_report
+from .centers import full_report, monge_lines
 from .polygon import parallelepiped_lift, subpolygon_family
 
 __all__ = ["render_figure", "SHOW_MODES"]
@@ -124,7 +124,6 @@ def render_figure(instance, show="euler", width=600):
                           fill="#3366cc")
     elif show == "monge":
         if instance.kind == "simplex":
-            from .centers import monge_lines
             span = np.ptp(vertices, axis=0).max()
             for line in monge_lines(instance.simplex, centers["M"]):
                 u = line.direction / np.linalg.norm(line.direction)

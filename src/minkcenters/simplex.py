@@ -1,8 +1,5 @@
-"""Simplex combinatorics: faces, face centroids, ridge/edge pairs, and the
-Euclidean orthocentricity cross-check.
-
-Faces are index sets into the single vertex array; derived points are always
-recomputed from the vertices, never cached copies.
+"""Simplices in general position, and the Euclidean orthocentricity
+cross-check behind the Monge point's independent oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +12,6 @@ from .norms import DEFAULT_TOL
 
 __all__ = [
     "Simplex",
-    "face_centroid",
-    "ridge_edge_pairs",
     "euclid_is_orthocentric",
     "euclid_orthocenter",
 ]
@@ -49,32 +44,8 @@ class Simplex:
         V = self.vertices
         return float(np.linalg.norm(V[:, None] - V[None, :], axis=-1).max())
 
-    def face(self, indices):
-        indices = list(indices)
-        idx = sorted(set(indices))
-        if len(idx) != len(indices) or not idx:
-            raise ValueError("face index set must be nonempty without duplicates")
-        if idx[0] < 0 or idx[-1] > self.dim:
-            raise ValueError("face index out of range")
-        return tuple(idx)
-
     def __repr__(self):
         return f"Simplex(d={self.dim})"
-
-
-def face_centroid(T, face):
-    idx = T.face(face)
-    return T.vertices[list(idx)].mean(axis=0)
-
-
-def ridge_edge_pairs(T):
-    """All (ridge, opposite edge) pairs, indexed by the C(d+1, 2) edges."""
-    d = T.dim
-    pairs = []
-    for edge in itertools.combinations(range(d + 1), 2):
-        ridge = tuple(i for i in range(d + 1) if i not in edge)
-        pairs.append((ridge, edge))
-    return pairs
 
 
 def euclid_is_orthocentric(T, tol=DEFAULT_TOL):

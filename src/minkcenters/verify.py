@@ -145,7 +145,8 @@ def suite_orthogonality(trials, seed=0, tol=None, dims=(2, 3, 4)):
                          abs(norm(lam * x) - lam * nx) / max(1.0, nx),
                          max(0.0, nxy - nx - ny) / max(1.0, nx + ny))
             stats["norm_axioms"].add(axioms, 1e-12 if norm.dim is None else tol.eps_geom)
-        stats["lp2_matches_euclidean"].add(abs(l2(x) - eucl(x)) / max(1.0, eucl(x)), 1e-12)
+        power_sum = np.sum(np.abs(x) ** 2) ** 0.5  # the l_p formula at p = 2
+        stats["lp2_matches_euclidean"].add(abs(l2(x) - power_sum) / max(1.0, power_sum), 1e-12)
         if d == 2:
             stats["polyhedral_crosscheck"].add(
                 max(abs(cross(x) - l1(x)), abs(cube(x) - linf(x))) / max(1.0, l1(x)),

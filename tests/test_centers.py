@@ -5,7 +5,7 @@ import pytest
 
 from minkcenters import (Norm, Simplex, complementary_point, euler_point, full_report,
                          m_hyperplanes, monge_lines, monge_point, solve_circumcenter)
-from minkcenters.simplex import euclid_orthocenter, face_centroid
+from minkcenters.simplex import euclid_orthocenter
 from minkcenters.verify import (random_orthocentric_simplex, random_simplex,
                                 simplex_claims)
 
@@ -20,6 +20,10 @@ REGULAR = Simplex([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 
 def centroid(T):
     return T.vertices.mean(axis=0)
+
+
+def face_centroid(T, face):
+    return T.vertices[list(face)].mean(axis=0)
 
 
 def contains(h, p):
@@ -151,6 +155,18 @@ class TestMHyperplanes:
     def test_skip_at_midpoint(self):
         mid = face_centroid(TRIRECT, [0, 1])
         assert len(m_hyperplanes(TRIRECT, mid)) < 6
+
+    def test_skip_when_direction_parallel_to_ridge(self):
+        # M - (A_0 + A_1)/2 = A_3 - A_2 lies along ridge (2, 3): its Monge line
+        # stays, its M-hyperplane goes
+        V = TRIRECT.vertices
+        M = (V[0] + V[1]) / 2 + (V[3] - V[2])
+        N = monge_point(TRIRECT, M)
+        lines = monge_lines(TRIRECT, M)
+        planes = m_hyperplanes(TRIRECT, M)
+        assert len(lines) == 6 and len(planes) == 5
+        assert all(l.distance(N) <= 1e-9 for l in lines)
+        assert all(contains(h, N) for h in planes)
 
 
 class TestFullReport:

@@ -103,11 +103,11 @@ class TestSolver:
             fast = solve_circumcenter(EUCL, T)
             c = T.vertices.mean(axis=0)
             V = T.vertices - c
-            slow, _, _ = circumcenter._smooth_center(l2, V, T.diameter, DEFAULT_TOL)
-            newton = circumcenter._newton(*circumcenter._bisector_system(l2, V), np.zeros(d),
-                                          T.diameter)
+            slow, _, _ = circumcenter._smooth_center(l2, T, DEFAULT_TOL)
+            newton = c + circumcenter._newton(*circumcenter._bisector_system(l2, V), np.zeros(d),
+                                              T.diameter)
             for M in (slow, newton):
-                assert np.allclose(fast.center, c + M, atol=1e-8 * T.diameter)
+                assert np.allclose(fast.center, M, atol=1e-8 * T.diameter)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -401,10 +401,36 @@ SEED3_167 = [  # lp3, d=8
 ]
 
 
+# `minkcenters verify --suite simplex --norms l1.5,l3,l4,l1.2 --dims 2,3,4,5,6,7,8
+# --seed 2`, stream index 1875 (l1.2, d=8): Newton's first point certifies on
+# the centred vertices but not on these, where is_circumcenter reads it
+SEED2_1875 = [
+    [-1.0648438819219759, -0.9301874415097227, 3.032723973607885, -1.126484392936713,
+     0.39065711000976505, 0.1038977720906727, -0.8773178400666134, -0.164693603504721],
+    [-0.2099775157393788, -0.09102670977731804, 0.1341467205678258, 0.9490886896294757,
+     1.4182680553173184, 0.7787126227340598, -0.27837904318029605, -2.7528889907696414],
+    [1.2429433098270957, -0.45628961173305094, 0.4242007124774367, -0.421798128490573,
+     -0.7857723780272438, -1.2449011800577687, 1.175005930182106, 0.9083734122587129],
+    [0.10096302516343042, 0.5397359343212839, 1.1607229205310585, 0.9909013523431609,
+     1.1277974190695341, 1.8575607734897215, -0.7400294816515447, 0.8664225000442279],
+    [-1.8086524888567754, -0.780301801974774, -0.4537748334834987, 0.22327897755534304,
+     0.6143280565832205, -0.11934816974076755, -1.7838552875596572, 0.6552373312583704],
+    [-1.06343549874256, -1.3703395092043076, -0.8665703189291204, 0.09550967364651945,
+     0.06375859578976745, 0.09180236631048164, -0.17335389895224537, -0.5256488384836325],
+    [-0.6128028651593346, 0.45348623610504, -0.0025024680405928545, -1.3046819044781879,
+     -0.3469673442278378, 0.20236489951656764, 1.5030369398589027, 0.142508367640836],
+    [-0.26926801555456487, 0.3981742151846613, 0.12916901739143705, 0.481453363691958,
+     0.1370103850760577, 0.29405695515322394, 1.0355764260140568, -0.5045326601587189],
+    [0.9248215638295209, -0.5521825616791682, -0.18457495595408205, 1.843580088517249,
+     0.1179683644936829, 0.8611098968020114, 0.6998544456793043, -0.04055890016508411],
+]
+
+
 class TestSmoothSolver:
     @pytest.mark.parametrize("p, V", [(1.5, SEED1_767), (1.5, SEED1_1945), (1.5, SEED2_265),
-                                      (1.5, SEED2_598), (3, SEED3_167)],
-                             ids=["s1-767", "s1-1945", "s2-265", "s2-598", "s3-167"])
+                                      (1.5, SEED2_598), (3, SEED3_167), (1.2, SEED2_1875)],
+                             ids=["s1-767", "s1-1945", "s2-265", "s2-598", "s3-167",
+                                  "verify-s2-1875"])
     def test_former_misses_found(self, p, V):
         norm, T = Norm.lp(p), Simplex(V)
         res = solve_circumcenter(norm, T)

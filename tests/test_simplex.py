@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from minkcenters import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
-                         euler_point, face_centroid)
-from minkcenters.simplex import ridge_edge_pairs
+                         euler_point)
+from minkcenters.centers import _monge_pairs
+from minkcenters.norms import DEFAULT_TOL
 from minkcenters.verify import random_simplex
 
 TRIRECT = Simplex([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]])
@@ -14,10 +15,12 @@ def centroid(T, M=None):
     return euler_point(T.vertices, np.zeros(T.dim) if M is None else M, T.dim + 1)
 
 
-def quasi_median(T, ridge):
-    """(ridge centroid, opposite edge midpoint) from ridge_edge_pairs."""
-    edge = dict(ridge_edge_pairs(T))[tuple(ridge)]
-    return face_centroid(T, ridge), face_centroid(T, edge)
+def quasi_medians(T):
+    """(ridge centroids, opposite edge midpoints) of the Monge pairs, in edge
+    order; M = A_0 is never an edge midpoint, so no pair is skipped."""
+    M = T.vertices[0]
+    _, centroids, directions = _monge_pairs(T, M, DEFAULT_TOL)
+    return centroids, directions + M
 
 
 def test_degenerate_rejected():
@@ -34,31 +37,25 @@ def test_centroid_examples():
 
 
 def test_face_centroids():
-    assert np.allclose(face_centroid(TRIRECT, [1, 2, 3]), (2 / 3, 2 / 3, 2 / 3))
-    assert np.allclose(face_centroid(TRIRECT, [0, 1]), (1, 0, 0))
-    assert np.allclose(face_centroid(TRIRECT, [2, 3]), (0, 1, 1))
-
-
-def test_invalid_faces():
-    with pytest.raises(ValueError):
-        face_centroid(TRIRECT, [])
-    with pytest.raises(ValueError):
-        face_centroid(TRIRECT, [0, 0, 1])
-    with pytest.raises(ValueError):
-        face_centroid(TRIRECT, [0, 9])
+    # a face centroid is the Euler kernel at k = the face's vertex count
+    V = TRIRECT.vertices
+    for face, expected in (([1, 2, 3], (2 / 3, 2 / 3, 2 / 3)), ([0, 1], (1, 0, 0)),
+                           ([2, 3], (0, 1, 1))):
+        for M in ((0, 0, 0), (1, -2, 5)):
+            assert np.allclose(euler_point(V[face], M, len(face)), expected)
 
 
 def test_quasi_median_endpoints():
-    a, b = quasi_median(TRIRECT, [2, 3])
-    assert np.allclose(a, (0, 1, 1))
-    assert np.allclose(b, (1, 0, 0))
+    a, b = quasi_medians(TRIRECT)  # pair 0: ridge (2, 3), edge (0, 1)
+    assert np.allclose(a[0], (0, 1, 1))
+    assert np.allclose(b[0], (1, 0, 0))
 
 
 def test_quasi_median_is_median_for_triangles():
     T = Simplex([[0, 0], [1, 0], [0, 1]])
-    a, b = quasi_median(T, [2])
-    assert np.allclose(a, (0, 1))
-    assert np.allclose(b, (0.5, 0))  # opposite edge midpoint
+    a, b = quasi_medians(T)  # pair 0: ridge (2,), edge (0, 1)
+    assert np.allclose(a[0], (0, 1))
+    assert np.allclose(b[0], (0.5, 0))  # opposite edge midpoint
 
 
 def test_centroid_divides_quasi_medians():
@@ -67,8 +64,9 @@ def test_centroid_divides_quasi_medians():
     for d in range(2, 7):
         T = random_simplex(d, rng)
         G = centroid(T)
-        for ridge, _ in ridge_edge_pairs(T):
-            a, b = quasi_median(T, ridge)
+        a_all, b_all = quasi_medians(T)
+        assert len(a_all) == (d + 1) * d // 2
+        for a, b in zip(a_all, b_all):
             u = b - a
             t = (G - a) @ u / (u @ u)
             assert abs(t - 2 / (d + 1)) <= 1e-10
@@ -88,7 +86,12 @@ def test_centroid_affine_equivariant():
 
 
 def test_opposite_edge():
-    assert dict(ridge_edge_pairs(TRIRECT))[(2, 3)] == (0, 1)
+    # pairs run over the edges (0, 1), (0, 2), ..., (2, 3); each ridge is the rest
+    ridges, _, directions = _monge_pairs(TRIRECT, (0, 0, 0), DEFAULT_TOL)
+    V = TRIRECT.vertices
+    assert np.array_equal(ridges[0], V[[2, 3]])
+    assert np.array_equal(ridges[-1], V[[0, 1]])
+    assert np.allclose(directions[-1], (V[2] + V[3]) / 2)
 
 
 class TestOrthocentricity:
