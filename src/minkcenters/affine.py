@@ -2,12 +2,16 @@
 
 Incidence is an affine notion, so distances here use the auxiliary
 Euclidean metric regardless of the ambient norm.
+
+A Line may hold a batch of lines: leading axes of its base and direction
+are batch axes, as for the vertex arrays of centers.euler_point, and
+Line.distance broadcasts over lines and points.  A Hyperplane is built from
+a point on it and a normal vector.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +27,40 @@ def _vec(x):
 
 @dataclass(frozen=True)
 class Line:
+    """The lines base + t * direction; leading axes are batch axes."""
+
     base: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "base", _vec(self.base))
         object.__setattr__(self, "direction", _vec(self.direction))
-        if self.direction @ self.direction == 0.0:
+        if not (self.direction * self.direction).sum(axis=-1).all():
             raise ValueError("line direction must be nonzero")
 
     def distance(self, p):
-        """Euclidean distance of p from the line."""
+        """Euclidean distance of p from the line, broadcast over the batch
+        axes of the line and the leading axes of p; a float for one line and
+        one point."""
         w = _vec(p) - self.base
-        u = self.direction / math.sqrt(self.direction @ self.direction)
-        r = w - (w @ u) * u
-        return math.sqrt(r @ r)
+        u = self.direction / np.linalg.norm(self.direction, axis=-1, keepdims=True)
+        r = np.linalg.norm(w - np.sum(w * u, axis=-1, keepdims=True) * u, axis=-1)
+        return float(r) if r.ndim == 0 else r
 
 
-@dataclass(frozen=True)
 class Hyperplane:
-    base: np.ndarray
-    spanning: np.ndarray  # (d-1, d), rank d-1
-    _normal: np.ndarray = field(init=False, repr=False, compare=False)
+    """The hyperplane through base orthogonal to normal, which is stored as
+    a Euclidean unit vector."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _vec(self.base))
-        S = np.atleast_2d(_vec(self.spanning))
-        object.__setattr__(self, "spanning", S)
-        d = self.base.shape[0]
-        if S.shape != (d - 1, d):
-            raise ValueError(f"expected {d - 1} spanning vectors of dimension {d}")
-        # one SVD gives the rank test and the normal, the null vector of S
-        _, sv, vh = np.linalg.svd(S)
-        if not sv[-1] > 1e-12 * max(1.0, np.abs(S).max()):
-            raise ValueError("spanning set is rank deficient")
-        object.__setattr__(self, "_normal", vh[-1])
+    def __init__(self, base, normal):
+        base, normal = _vec(base), _vec(normal)
+        if base.ndim != 1 or normal.shape != base.shape:
+            raise ValueError("base and normal must be vectors of one dimension")
+        length = np.linalg.norm(normal)
+        if not length > 0.0:
+            raise ValueError("hyperplane normal must be nonzero")
+        self.base = base
+        self._normal = normal / length
 
     def normal(self):
         """Euclidean unit normal (auxiliary metric, used for incidence only)."""

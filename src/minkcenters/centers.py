@@ -117,9 +117,11 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     """
     ridges, bases, directions = _monge_pairs(T, M, tol)
     span = np.concatenate([ridges[:, 1:] - ridges[:, :1], directions[:, None]], axis=1)
-    # rank d-1 unless the direction is parallel to the ridge
-    keep = np.linalg.svd(span, compute_uv=False)[:, -1] > 1e-10 * max(1.0, T.diameter)
-    return [Hyperplane(base, rows) for base, rows in zip(bases[keep], span[keep])]
+    # one SVD of the stack: the span has rank d-1 unless the direction is
+    # parallel to the ridge, and the last right singular vector is the normal
+    _, sv, vh = np.linalg.svd(span)
+    keep = sv[:, -1] > 1e-10 * max(1.0, T.diameter)
+    return [Hyperplane(base, normal) for base, normal in zip(bases[keep], vh[keep, -1])]
 
 
 def _affine_ratio(M, X, s):

@@ -68,9 +68,12 @@ class _Canvas:
 
 
 def render_figure(instance, show="euler", width=600):
-    """SVG (string) for a 2D instance; raises ValueError for d >= 3."""
+    """SVG (string) for a 2D instance; raises ValueError for d >= 3 or a
+    width below 2 pixels."""
     if show not in SHOW_MODES:
         raise ValueError(f"unknown figure mode: {show!r}")
+    if width < 2:
+        raise ValueError("figure width must be at least 2 pixels")
     norm = instance.norm
     if instance.kind == "simplex":
         T = instance.simplex

@@ -126,58 +126,51 @@ def verify_polygon_theorems(P, tol=DEFAULT_TOL):
     return _polygon_claims(P, subpolygon_family(P), tol)
 
 
+def _sphere_defect(norm, X, c, r):
+    """max_i |‖X_i - c‖ - r|: how far the rows X_i of X are from S(c, r)."""
+    return float(np.abs(norm(np.asarray(X) - c) - r).max())
+
+
+def _concurrency(V, ends, X, min_length, ratio=None):
+    """Largest distance of X from the lines <A_i Q_i> through the vertices A_i
+    and the points Q_i of ends, and with ratio given, from the points
+    A_i + ratio (Q_i - A_i).  Lines shorter than min_length are skipped; inf
+    when fewer than two remain."""
+    D = np.asarray(ends) - V
+    keep = np.linalg.norm(D, axis=1) > min_length
+    if keep.sum() < 2:
+        return np.inf
+    residual = Line(V[keep], D[keep]).distance(X).max()
+    if ratio is not None:
+        residual = max(residual, np.linalg.norm(X - V[keep] - ratio * D[keep], axis=1).max())
+    return residual
+
+
 def _polygon_claims(P, rep, tol):
     """verify_polygon_theorems on rep = subpolygon_family(P)."""
-    d = P.d
-    R = P.R
-    norm = P.norm
-    V = P.vertices
-    out = {}
-
-    def record(name, residual):
-        out[name] = (bool(residual <= 10 * tol.eps_geom * R), float(residual))
-
-    def record_concurrency(name, ends, X, ratio=None):
-        """Lines <A_i Q_i> through X, and X = A_i + ratio (Q_i - A_i) if given."""
-        D = np.asarray(ends) - V
-        keep = np.linalg.norm(D, axis=1) > tol.eps_geom * R
-        if keep.sum() < 2:
-            out[name] = (False, np.inf)
-            return
-        residual = max(Line(a, u).distance(X) for a, u in zip(V[keep], D[keep]))
-        if ratio is not None:
-            residual = max(residual, np.linalg.norm(X - V[keep] - ratio * D[keep], axis=1).max())
-        record(name, residual)
-
-    # 5.1(a): P_M lies on every circle S(P_M^i, R)
-    record("5.1a_complementary_circles",
-           max(abs(norm(rep.P_M - q) - R) for q in rep.sub_complementary))
-
-    # 5.1(b): lines <A_i P_M^i> concurrent in C_M
-    record_concurrency("5.1b_spatial_center_concurrency", rep.sub_complementary, rep.C_M)
-
-    # 5.1(c): midpoints E_i concyclic on S(C_M, R/2)
-    record("5.1c_midpoint_circle",
-           max(abs(norm(e - rep.C_M) - R / 2) for e in rep.midpoints))
-
-    # 5.1(d): C_M on every S(C_M^i, R/2), and the C_M^i on S(C_M, R/2)
-    record("5.1d_sub_spatial_circle",
-           max(abs(norm(rep.C_M - c) - R / 2) for c in rep.sub_spatial))
-
-    # 5.2(a): lines <A_i N_M^i> concurrent in N_M, internal ratio (d-2):1
-    record_concurrency("5.2a_monge_concurrency", rep.sub_monge, rep.N_M, (d - 2) / (d - 1))
-
-    # 5.2(b): sub-centroids G_i and division points L^M_i on S(F_M, R/d)
-    L = _division_points(V, P.M, d)
-    record("5.2b_feuerbach_circle",
-           max(max(abs(norm(g - rep.F_M) - R / d) for g in rep.sub_centroids),
-               max(abs(norm(l - rep.F_M) - R / d) for l in L)))
-
-    # 5.2(c): sub-Monge points concyclic on S(euler_point(V, M, d-2), R/(d-2))
+    d, R, norm, V = P.d, P.R, P.norm, P.vertices
+    short = tol.eps_geom * R
     c, r = rep.circles["sub_monge"]
-    record("5.2c_sub_monge_circle",
-           max(abs(norm(q - c) - r) for q in rep.sub_monge))
-    return out
+    residuals = {
+        # 5.1(a): P_M lies on every circle S(P_M^i, R)
+        "5.1a_complementary_circles": _sphere_defect(norm, rep.sub_complementary, rep.P_M, R),
+        # 5.1(b): lines <A_i P_M^i> concurrent in C_M
+        "5.1b_spatial_center_concurrency": _concurrency(V, rep.sub_complementary, rep.C_M, short),
+        # 5.1(c): midpoints E_i concyclic on S(C_M, R/2)
+        "5.1c_midpoint_circle": _sphere_defect(norm, rep.midpoints, rep.C_M, R / 2),
+        # 5.1(d): C_M on every S(C_M^i, R/2), and the C_M^i on S(C_M, R/2)
+        "5.1d_sub_spatial_circle": _sphere_defect(norm, rep.sub_spatial, rep.C_M, R / 2),
+        # 5.2(a): lines <A_i N_M^i> concurrent in N_M, internal ratio (d-2):1
+        "5.2a_monge_concurrency": _concurrency(V, rep.sub_monge, rep.N_M, short,
+                                               (d - 2) / (d - 1)),
+        # 5.2(b): sub-centroids G_i and division points L^M_i on S(F_M, R/d)
+        "5.2b_feuerbach_circle": _sphere_defect(
+            norm, rep.sub_centroids + _division_points(V, P.M, d), rep.F_M, R / d),
+        # 5.2(c): sub-Monge points concyclic on S(euler_point(V, M, d-2), R/(d-2))
+        "5.2c_sub_monge_circle": _sphere_defect(norm, rep.sub_monge, c, r),
+    }
+    limit = 10 * tol.eps_geom * R
+    return {name: (bool(res <= limit), float(res)) for name, res in residuals.items()}
 
 
 def parallelepiped_lift(P):

@@ -33,16 +33,12 @@ class Simplex:
         if abs(det) <= tol.eps_geom * scale ** V.shape[1]:
             raise ValueError("general position violated")
         self.vertices = V
+        # Euclidean diameter of the vertex set (tolerance scale)
+        self.diameter = float(np.linalg.norm(V[:, None] - V[None, :], axis=-1).max())
 
     @property
     def dim(self):
         return self.vertices.shape[1]
-
-    @property
-    def diameter(self):
-        """Euclidean diameter of the vertex set (tolerance scale)."""
-        V = self.vertices
-        return float(np.linalg.norm(V[:, None] - V[None, :], axis=-1).max())
 
     def __repr__(self):
         return f"Simplex(d={self.dim})"

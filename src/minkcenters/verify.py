@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from .centers import euler_point, full_report, m_hyperplanes, monge_lines, monge_point
+from .affine import Line
+from .centers import _monge_pairs, euler_point, full_report, m_hyperplanes, monge_point
 from .circumcenter import _certified, solve_circumcenter
 from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
-from .polygon import sample_cyclic_polygon, verify_polygon_theorems
+from .polygon import _sphere_defect, sample_cyclic_polygon, verify_polygon_theorems
 from .simplex import Simplex, euclid_orthocenter
 
 __all__ = [
@@ -104,10 +105,6 @@ class ClaimStats:
         return f"ClaimStats(trials={self.trials}, failures={self.failures}, max_residual={self.max_residual:.3g})"
 
 
-def _plane_distance(h, p):
-    return float(abs((np.asarray(p) - h.base) @ h.normal()))
-
-
 def _simplex_stream(names, dims, rng):
     """The simplex suite's instances: d cycles over dims and the norm over
     names (polyhedral capped at d = 3); each norm, then its simplex, is drawn
@@ -183,18 +180,18 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
         return claims
     rep = full_report(norm, T, M, tol)
     N = rep.N_M
-    claims["monge_concurrency"] = max(l.distance(N) for l in monge_lines(T, M, tol)) / scale
+    _, bases, directions = _monge_pairs(T, M, tol)
+    claims["monge_concurrency"] = float(Line(bases, directions).distance(N).max()) / scale
     planes = m_hyperplanes(T, M, tol)
-    claims["m_hyperplane_incidence"] = max(_plane_distance(h, N) for h in planes) / scale
+    claims["m_hyperplane_incidence"] = max(abs((N - h.base) @ h.normal()) for h in planes) / scale
     claims["m_hyperplane_count"] = float(T.dim - len(planes))
     if not rep.collapsed:
         claims["euler_ratios"] = max(v for v in rep.ratio_residuals.values()
                                      if not isinstance(v, str))
-        claims["euler_collinear"] = max(rep.euler_line.distance(p)
-                                        for p in (rep.G, rep.F_M, N, rep.P_M)) / scale
-    claims["feuerbach_incidence"] = max(
-        abs(norm(p - rep.F_M) - rep.feuerbach_radius)
-        for p in rep.facet_centroids + rep.division_points) / rep.R
+        claims["euler_collinear"] = float(
+            rep.euler_line.distance([rep.G, rep.F_M, N, rep.P_M]).max()) / scale
+    claims["feuerbach_incidence"] = _sphere_defect(
+        norm, rep.facet_centroids + rep.division_points, rep.F_M, rep.feuerbach_radius) / rep.R
     return claims
 
 

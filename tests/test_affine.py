@@ -19,6 +19,39 @@ def test_point_on_line():
 
 
 def test_hyperplane_contains():
-    h = Hyperplane((1, 0, 0), [(0, 1, 0), (0, 0, 1)])
+    h = Hyperplane((1, 0, 0), (1, 0, 0))
     assert abs((np.array([1, 5, -3]) - h.base) @ h.normal()) <= 1e-12
     assert abs((np.array([1.1, 0, 0]) - h.base) @ h.normal()) == pytest.approx(0.1)
+
+
+def test_batched_line_distance_matches_each_line():
+    rng = np.random.default_rng(0)
+    bases, directions, points = rng.normal(size=(3, 6, 4))
+    lines = [Line(b, u) for b, u in zip(bases, directions)]
+    batch = Line(bases, directions)
+    # many lines, one point
+    assert batch.distance(points[0]) == pytest.approx([l.distance(points[0]) for l in lines],
+                                                      rel=1e-12)
+    # one line, many points
+    assert lines[0].distance(points) == pytest.approx([lines[0].distance(p) for p in points],
+                                                      rel=1e-12)
+    # one line and one point give a float
+    assert isinstance(lines[0].distance(points[0]), float)
+
+
+def test_batched_line_zero_direction_rejected():
+    directions = np.ones((4, 3))
+    Line(np.zeros((4, 3)), directions)
+    directions[2] = 0.0
+    with pytest.raises(ValueError):
+        Line(np.zeros((4, 3)), directions)
+
+
+def test_hyperplane_unit_normal():
+    h = Hyperplane((0, 1), (3, -4))
+    assert np.allclose(h.normal(), (0.6, -0.8), rtol=0, atol=1e-15)
+    assert np.array_equal(h.base, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        Hyperplane((0, 1), (0, 0))
+    with pytest.raises(ValueError):
+        Hyperplane((0, 1), (1, 0, 0))

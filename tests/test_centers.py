@@ -5,6 +5,8 @@ import pytest
 
 from minkcenters import (Norm, Simplex, complementary_point, euler_point, full_report,
                          m_hyperplanes, monge_lines, monge_point, solve_circumcenter)
+from minkcenters.centers import _monge_pairs
+from minkcenters.norms import DEFAULT_TOL
 from minkcenters.simplex import euclid_orthocenter
 from minkcenters.verify import (random_orthocentric_simplex, random_simplex,
                                 simplex_claims)
@@ -167,6 +169,28 @@ class TestMHyperplanes:
         assert len(lines) == 6 and len(planes) == 5
         assert all(l.distance(N) <= 1e-9 for l in lines)
         assert all(contains(h, N) for h in planes)
+
+    @staticmethod
+    def assert_normals_orthogonal(T, M):
+        """Each plane's normal is orthogonal to its ridge edges and direction,
+        to 1e-12 relative; returns the planes."""
+        ridges, bases, directions = _monge_pairs(T, M, DEFAULT_TOL)
+        planes = m_hyperplanes(T, M)
+        for h in planes:
+            (j,) = np.flatnonzero(np.all(bases == h.base, axis=1))
+            span = np.vstack([ridges[j, 1:] - ridges[j, 0], directions[j]])
+            assert np.all(np.abs(span @ h.normal()) <= 1e-12 * np.linalg.norm(span, axis=1))
+        return planes
+
+    def test_normals_orthogonal_to_span(self):
+        rng = np.random.default_rng(4)
+        for d in range(2, 9):
+            T = random_simplex(d, rng)
+            assert len(self.assert_normals_orthogonal(T, rng.normal(size=d))) >= d
+        # test_skip_when_direction_parallel_to_ridge's M: 5 planes
+        V = TRIRECT.vertices
+        M = (V[0] + V[1]) / 2 + (V[3] - V[2])
+        assert len(self.assert_normals_orthogonal(TRIRECT, M)) == 5
 
 
 class TestFullReport:

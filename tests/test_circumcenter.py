@@ -7,7 +7,7 @@ import pytest
 
 from minkcenters import (Norm, Simplex, circumcenter, grid_oracle_circumcenters,
                          is_circumcenter, solve_circumcenter)
-from minkcenters.norms import DEFAULT_TOL
+from minkcenters.norms import DEFAULT_TOL, Tolerances
 from minkcenters.verify import random_polyhedral_norm, random_simplex
 
 EUCL = Norm.euclidean()
@@ -426,6 +426,26 @@ SEED2_1875 = [
 ]
 
 
+# the same run, stream index 1145 (l1.2, d=6): its center lies at
+# R = 1.11e7 * diameter, where rounding alone exceeds the default eps_geom
+SEED2_1145 = [
+    [-0.731579682842691, 1.1027606696427676, 0.9907733977073537, 0.46238530044133,
+     0.9705053700036383, 2.5387151253314446],
+    [-0.890246693736338, 0.5209038620342499, 0.36392352445121573, 1.7672687608980107,
+     0.6585360372049203, -1.0685977279625172],
+    [-0.7501106701255899, 1.1639731620277531, 0.14259964808899703, 1.2513759824926036,
+     -0.9917012227826285, -0.8559239149566711],
+    [-1.0879465270230064, 0.490834686781564, -0.8261667224043107, 2.123559944635453,
+     0.04713189418694228, 0.8449581567501029],
+    [-0.4982968316927387, 1.2998526139369686, -1.1424909280382018, -0.32589697696804343,
+     1.2046631945226483, -1.4069047608538359],
+    [0.4681016428398706, 1.2198326224918925, 0.06586900079720105, 0.12630048354707127,
+     -0.11777762644670059, 0.5666902589106635],
+    [2.225049369795948, 0.5670814180228946, 0.6260269444694074, 0.5143175697482006,
+     -0.19747383337340768, 0.09999815994031976],
+]
+
+
 class TestSmoothSolver:
     @pytest.mark.parametrize("p, V", [(1.5, SEED1_767), (1.5, SEED1_1945), (1.5, SEED2_265),
                                       (1.5, SEED2_598), (3, SEED3_167), (1.2, SEED2_1875)],
@@ -437,6 +457,15 @@ class TestSmoothSolver:
         assert res.found
         assert res.residual <= 1e-9 * T.diameter
         assert is_circumcenter(norm, T, res.center) == pytest.approx(res.radius)
+
+    def test_far_center_beyond_default_tolerance(self):
+        # found at the first Newton start once eps_geom is 1e-8, but at the
+        # default tolerance no point so far out can certify
+        norm, T = Norm.lp(1.2), Simplex(SEED2_1145)
+        res = solve_circumcenter(norm, T, Tolerances(1e-8))
+        assert res.found and res.starts_used == 1
+        assert res.radius / T.diameter == pytest.approx(1.11e7, rel=0.01)
+        assert is_circumcenter(norm, T, res.center) is None
 
     def test_non_unique_center(self):
         # three certified l3 centers, R = 3.159, 3.203 and 7.058

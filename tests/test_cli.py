@@ -259,6 +259,14 @@ class TestFigure:
         text = Path(out).read_text()
         assert text.startswith("<svg") and 'class="marker"' in text
 
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_non_positive_width_invalid(self, tmp_path, capsys, width):
+        inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)
+        out = tmp_path / "f.svg"
+        assert main(["figure", inst, "--out", str(out), "--width", width]) == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_3d_instance_invalid(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "t.json", SIMPLEX_EUCL)
         assert main(["figure", inst, "--out", str(tmp_path / "f.svg")]) == EXIT_INVALID
