@@ -9,8 +9,8 @@ oracles and randomized verification suites.
 __version__ = "0.1.0"
 
 from .affine import Hyperplane, Line
-from .centers import (CentersReport, complementary_point, euler_point, full_report,
-                      m_hyperplanes, monge_lines, monge_point)
+from .centers import (CentersReport, euler_point, full_report, m_hyperplanes, monge_lines,
+                      monge_point)
 from .circumcenter import (CircumResult, grid_oracle_circumcenters,
                            is_circumcenter, solve_circumcenter)
 from .figures import SHOW_MODES, render_figure
@@ -29,7 +29,7 @@ __all__ = [
     "euclid_is_orthocentric", "euclid_orthocenter",
     "CircumResult", "is_circumcenter", "solve_circumcenter",
     "grid_oracle_circumcenters",
-    "CentersReport", "euler_point", "monge_point", "complementary_point",
+    "CentersReport", "euler_point", "monge_point",
     "monge_lines", "m_hyperplanes", "full_report",
     "CyclicPolygon", "PolygonReport", "subpolygon_family",
     "verify_polygon_theorems", "parallelepiped_lift", "sample_cyclic_polygon",

@@ -28,7 +28,6 @@ __all__ = [
     "CentersReport",
     "euler_point",
     "monge_point",
-    "complementary_point",
     "monge_lines",
     "m_hyperplanes",
     "full_report",
@@ -80,11 +79,6 @@ def _division_points(V, M, k):
 def monge_point(T, M):
     """N_M = euler_point(vertices, M, d-1); works for any reference point M."""
     return euler_point(T.vertices, M, T.dim - 1)
-
-
-def complementary_point(T, M):
-    """P_M = euler_point(vertices, M, 1); equivalently A_j + d (G_j - M) for every j."""
-    return euler_point(T.vertices, M, 1)
 
 
 def _monge_pairs(T, M, tol):

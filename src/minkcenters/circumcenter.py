@@ -13,19 +13,18 @@ Each norm class has one solver path:
   ``_polyhedral_center``).  It returns the minimum-radius circumcenter, and
   status "none" decides that no circumcenter exists.
 * Smooth l_p: damped Newton on the square bisector system
-  ||A_i - M|| = ||A_0 - M|| (i = 1..d), with the norm's analytic gradient,
-  from the exact Euclidean circumcenter.  In a strictly convex norm each
-  bisector is a smooth hypersurface and M is where d of them meet (Horvath,
-  Acta Math. Hungar. 89, 2000).  When Newton fails there, a continuation in
-  p from the Euclidean center and then a fixed seeded list of starts follow
-  (see ``_smooth_center``).  A center always exists in exact arithmetic,
-  but it need not be unique: l_3 simplices with three centers occur from
-  d = 3 on (``random_simplex(3, default_rng(132))`` has centers at
-  R/diameter = 2.912, 2.975 and 3.192).  The solver returns the first
-  center that certifies, in that order: the one Newton reaches from the
-  Euclidean center, the end of the continuation, or the one reached from
-  the earliest start, by Newton before ``least_squares``.  It is not the
-  least-radius center.
+  ||A_i - M|| = ||A_0 - M|| (i = 1..d), with the norm's analytic gradient
+  and each step capped at diameter + |M|, from the exact Euclidean
+  circumcenter.  In a strictly convex norm each bisector is a smooth
+  hypersurface and M is where d of them meet (Horvath, Acta Math. Hungar.
+  89, 2000).  When Newton fails there, the same Newton runs from one fixed
+  seeded list of starts (see ``_smooth_center``); no smooth solve imports
+  SciPy.  A center always exists in exact arithmetic, but it need not be
+  unique: l_3 simplices with three centers occur from d = 3 on
+  (``random_simplex(3, default_rng(132))`` has centers at R/diameter =
+  2.912, 2.975 and 3.192).  The solver returns the first center that
+  certifies: the one Newton reaches from the Euclidean center, else the one
+  reached from the earliest start.  It is not the least-radius center.
 
 Every path accepts a center by one test, ``_certified``, which is also
 ``is_circumcenter``'s, so a "found" center always passes is_circumcenter.
@@ -40,14 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import DEFAULT_TOL, Norm
+from .norms import DEFAULT_TOL
 
 __all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle_circumcenters"]
 
-MAX_NFEV_PER_DIM = 400  # least-squares evaluation cap per start, times d
 NEWTON_STEPS = 50
-CONTINUATION_STEPS = 40  # Newton runs per p-continuation
-RANDOM_STARTS = 16  # smooth fallback starts after the centroid and the vertices
+RANDOM_STARTS = 64  # seeded smooth starts after the centroid and the vertices
 _EPS = np.finfo(float).eps
 
 
@@ -170,8 +167,8 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     Euclidean (p = 2): one exact linear solve.  Polyhedral (non-smooth)
     norms: the exact minimum-radius center, or status "none" when no center
     exists.  Other smooth l_p: Newton on the bisector system from the
-    Euclidean center, then the fallbacks of ``_smooth_center``.  The answer
-    is "found" only where ``_certified`` accepts it, else "not_found".
+    Euclidean center, then from the start list of ``_smooth_center``.  The
+    answer is "found" only where ``_certified`` accepts it, else "not_found".
     """
     V = T.vertices
     if norm.p == 2.0:
@@ -192,57 +189,41 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
 def _smooth_center(norm, T, tol):
     """Circumcenter of T under a smooth l_p norm.
 
+    One local method, ``_newton`` on the bisector system, runs from the
+    Euclidean center M0 and, if no point certifies there, from each of one
+    seeded start list: the centroid, the vertices, then RANDOM_STARTS random
+    points at radii drawn log-uniformly from 0.1 * diameter out to
+    3 * max(diameter, Euclidean circumradius).  Log-uniform radii give each
+    scale the same share of starts, so that starts land near the simplex,
+    where the hard centers lie (about 0.5 to 0.85 diameters from the
+    centroid), however far out the Euclidean center is.
+
     The solves run on the centred vertices V = T.vertices - c.  Each
     candidate c + M is certified on T's own coordinates, as ``_result``
     does, so a point that rounds out of tolerance there goes on to the next
-    one.  Tries, in order, until a point certifies (``_certified``):
-
-    1. Newton on the bisector system from the Euclidean center M0;
-    2. ``_p_continuation`` from M0;
-    3. Newton from each of a fixed list of starts: the centroid, the
-       vertices, then seeded random points out to three times
-       max(diameter, Euclidean circumradius);
-    4. ``least_squares`` with the analytic Jacobian from the same starts.
-       Its trust-region steps reach some centers that Newton's line search
-       misses from every start.
-
-    Returns (M or None, starts tried, least defect seen).  Stage 2 counts as
-    the second start, and each start of stages 3 and 4 once per solver.
+    start.  Returns (M or None, starts tried, least defect seen).
     """
     c = T.vertices.mean(axis=0)
     V, diam, d = T.vertices - c, T.diameter, T.dim
     F, J = _bisector_system(norm, V)
-    M0 = _euclidean_center(V)
 
-    def candidates():
-        yield _newton(F, J, M0, diam)
-        yield _p_continuation(norm.p, V, M0, diam, tol)
-        # imported on entry to the fallback, which fewer than 1 in 100 l_p
-        # solves reaches, rather than by the rare least_squares call itself,
-        # so that a long batch's peak memory does not hinge on whether that
-        # call happens
-        from scipy.optimize import least_squares
-
+    def starts():
+        M0 = _euclidean_center(V)
+        yield M0
         rng = np.random.default_rng(0)
-        reach = 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
+        lo, hi = 0.1 * diam, 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
         U = rng.normal(size=(RANDOM_STARTS, d))
-        U *= (rng.uniform(0.0, reach, size=(RANDOM_STARTS, 1))
+        U *= (lo * (hi / lo) ** rng.uniform(size=(RANDOM_STARTS, 1))
               / np.linalg.norm(U, axis=1, keepdims=True))
-        starts = np.vstack([np.zeros(d), V, U])
-        for s in starts:
-            yield _newton(F, J, s, diam)
-        for s in starts:
-            yield least_squares(F, s, jac=J, xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                                max_nfev=MAX_NFEV_PER_DIM * d).x
+        yield from np.vstack([np.zeros(d), V, U])
 
     best = np.inf
-    for k, M in enumerate(candidates(), start=1):
-        if M is None:
-            continue  # the continuation gave up
-        ok, _, res = _certified(norm, T.vertices, c + M, diam, tol)
+    for k, s in enumerate(starts(), start=1):
+        M = c + _newton(F, J, s, diam)
+        ok, _, res = _certified(norm, T.vertices, M, diam, tol)
         best = min(best, res)
         if ok:
-            return c + M, k, best
+            return M, k, best
     return None, k, best
 
 
@@ -261,45 +242,29 @@ def _bisector_system(norm, V):
     return F, J
 
 
-def _p_continuation(p, V, M, diam, tol):
-    """Follow the l_q circumcenter from q = 2, where M is exact, to q = p.
-
-    Each step runs Newton from the last certified l_q center.  A step that
-    certifies grows by half, one that fails is halved; the walk gives up
-    after CONTINUATION_STEPS Newton runs or below a step of 1e-3.
-    """
-    q, dq = 2.0, (p - 2.0) / 4
-    for _ in range(CONTINUATION_STEPS):
-        if q == p:
-            return M
-        if abs(dq) < 1e-3:
-            return None
-        qn = q + dq if abs(p - q) > abs(dq) else p
-        lq = Norm.lp(qn)
-        Mn = _newton(*_bisector_system(lq, V), M, diam)
-        if _certified(lq, V, Mn, diam, tol)[0]:
-            q, M, dq = qn, Mn, 1.5 * dq
-        else:
-            dq /= 2
-    return M if q == p else None
-
-
 def _newton(F, J, M, diam):
     """Damped Newton on F(M) = 0 with Armijo backtracking on |F|^2.
 
-    Stops once |F| is at the float resolution of distances from M, after
-    NEWTON_STEPS steps, or when no step length down to 2^-10 decreases |F|^2
-    enough.
+    Each step is capped at length diam + |M|, so |M| + diam at most doubles
+    per step: a near-singular Jacobian cannot throw M far from the simplex,
+    out of reach of the center it was heading for, while a center R = 5e7
+    diameters out is still reached within NEWTON_STEPS.  Stops once |F| is
+    at the float resolution of distances from M, after NEWTON_STEPS steps,
+    or when no step length down to 2^-10 decreases |F|^2 enough.
     """
     f = F(M)
     m = f @ f
     for _ in range(NEWTON_STEPS):
-        if not m > (8 * _EPS * (diam + np.linalg.norm(M))) ** 2:
+        scale = diam + np.linalg.norm(M)
+        if not m > (8 * _EPS * scale) ** 2:
             break
         try:
             step = np.linalg.solve(J(M), -f)
         except np.linalg.LinAlgError:
             break
+        length = np.linalg.norm(step)
+        if length > scale:
+            step *= scale / length
         for t in 0.5 ** np.arange(11):
             trial = M + t * step
             ft = F(trial)

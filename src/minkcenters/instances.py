@@ -71,7 +71,7 @@ def parse_instance(obj, eps_geom_override=None):
                   required=("norm", "problem"))
     norm = _build("norm record", Norm.from_json, obj["norm"])
 
-    tol_obj = obj.get("tolerances") or {}
+    tol_obj = obj.get("tolerances", {})
     _require_keys(tol_obj, {"eps_geom"}, "tolerances")
     eps_geom = _build("tolerances", float, tol_obj.get("eps_geom", DEFAULT_TOL.eps_geom))
     tol = _build("tolerances", Tolerances,

@@ -147,7 +147,7 @@ def test_criterion_8_solver_soundness(simplex_stats, emit):
 def test_criterion_9_affine_invariance(simplex_stats, emit):
     st = simplex_stats["affine_invariance"]
     emit(9, st.passed and st.trials >= BATCH_SIZE and st.max_residual <= 1e-8,
-         f"monge_point and complementary_point commute with {st.trials} random affine "
+         f"N_M and P_M (euler_point at k = d-1 and 1) commute with {st.trials} random affine "
          f"maps, max residual {st.max_residual:.2e} (tol 1e-8)")
 
 

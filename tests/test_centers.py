@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from minkcenters import (Norm, Simplex, complementary_point, euler_point, full_report,
-                         m_hyperplanes, monge_lines, monge_point, solve_circumcenter)
+from minkcenters import (Norm, Simplex, euler_point, full_report, m_hyperplanes,
+                         monge_lines, monge_point, solve_circumcenter)
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
 from minkcenters.simplex import euclid_orthocenter
@@ -56,7 +56,7 @@ class TestMongePoint:
         rng = np.random.default_rng(0)
         T = random_simplex(2, rng)
         M = rng.normal(size=2)
-        assert np.allclose(monge_point(T, M), complementary_point(T, M))
+        assert np.allclose(monge_point(T, M), euler_point(T.vertices, M, 1))
 
     def test_fixed_at_centroid(self):
         G = centroid(TRIRECT)
@@ -65,7 +65,7 @@ class TestMongePoint:
 
 class TestComplementaryPoint:
     def test_trirectangular(self):
-        P = complementary_point(TRIRECT, M_TRIRECT)
+        P = euler_point(TRIRECT.vertices, M_TRIRECT, 1)
         assert np.allclose(P, (-1, -1, -1))
         # P_M = A_j + d (G_j - M) for every j
         for j in range(4):
@@ -74,11 +74,11 @@ class TestComplementaryPoint:
 
     def test_fixed_at_centroid(self):
         G = centroid(TRIRECT)
-        assert np.allclose(complementary_point(TRIRECT, G), G)
+        assert np.allclose(euler_point(TRIRECT.vertices, G, 1), G)
 
     def test_right_triangle_orthocenter(self):
         T = Simplex([[0, 0], [1, 0], [0, 1]])
-        assert np.allclose(complementary_point(T, (0.5, 0.5)), (0, 0))
+        assert np.allclose(euler_point(T.vertices, (0.5, 0.5), 1), (0, 0))
 
 
 class TestFeuerbach:
@@ -237,8 +237,8 @@ class TestFullReport:
             phiM = A @ M + b
             assert np.allclose(monge_point(phiT, phiM),
                                A @ monge_point(T, M) + b, atol=1e-9)
-            assert np.allclose(complementary_point(phiT, phiM),
-                               A @ complementary_point(T, M) + b, atol=1e-9)
+            assert np.allclose(euler_point(phiT.vertices, phiM, 1),
+                               A @ euler_point(T.vertices, M, 1) + b, atol=1e-9)
 
     def test_orthocentric_crosscheck(self):
         rng = np.random.default_rng(5)

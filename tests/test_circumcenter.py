@@ -401,6 +401,27 @@ SEED3_167 = [  # lp3, d=8
 ]
 
 
+SEED7_6732 = [  # lp1.5, d=7: its center, 0.81 diameters out, was missed by the
+    # earlier p-continuation and least-squares stages; capped Newton reaches it from a vertex
+    [0.40222348431339155, -0.2952489087024162, 0.1770771541490921, 0.8950036072659008,
+     1.6736679014054647, 2.282716139847057, 0.39531938916693116],
+    [-1.5586643641516864, 1.326285397686083, -0.11481928141913533, -0.07360912545411999,
+     -0.6962511703865368, -0.8267723771324268, 1.8165517402202616],
+    [0.2650535521167755, -1.664100863198255, 0.4956845021869424, -0.03971763618752979,
+     -1.7522177412449953, 0.6968834556707079, -0.10875220177054697],
+    [0.7332881350756009, -0.49476414969490845, 1.0252956859909763, 0.7051243373882001,
+     -0.6468035912805544, 1.1115019594746138, -0.3458538927580986],
+    [-1.6728891351746842, 0.22313816829042765, 0.08453428252421398, -1.9209379451666497,
+     0.46079836432820337, -0.039909427409780006, 0.9429546939082127],
+    [-1.0705270387730357, 0.6574983053119374, 0.4389415963686715, -1.5566564647799004,
+     0.5794590748335666, -1.0406236856448974, 0.16777397719319234],
+    [0.7517752158939656, -0.6703480584777103, 0.7937320910967417, 0.3502979417151333,
+     1.2777194935525473, 1.9953591748241635, -0.40283710867396927],
+    [-0.10876563018484876, 0.891663121869457, -0.9107339472719491, 2.024747552135262,
+     -0.19914279508638, 0.1538629434062458, 1.0973314136063892],
+]
+
+
 # `minkcenters verify --suite simplex --norms l1.5,l3,l4,l1.2 --dims 2,3,4,5,6,7,8
 # --seed 2`, stream index 1875 (l1.2, d=8): Newton's first point certifies on
 # the centred vertices but not on these, where is_circumcenter reads it
@@ -448,8 +469,9 @@ SEED2_1145 = [
 
 class TestSmoothSolver:
     @pytest.mark.parametrize("p, V", [(1.5, SEED1_767), (1.5, SEED1_1945), (1.5, SEED2_265),
-                                      (1.5, SEED2_598), (3, SEED3_167), (1.2, SEED2_1875)],
-                             ids=["s1-767", "s1-1945", "s2-265", "s2-598", "s3-167",
+                                      (1.5, SEED2_598), (3, SEED3_167), (1.5, SEED7_6732),
+                                      (1.2, SEED2_1875)],
+                             ids=["s1-767", "s1-1945", "s2-265", "s2-598", "s3-167", "s7-6732",
                                   "verify-s2-1875"])
     def test_former_misses_found(self, p, V):
         norm, T = Norm.lp(p), Simplex(V)
@@ -466,6 +488,11 @@ class TestSmoothSolver:
         assert res.found and res.starts_used == 1
         assert res.radius / T.diameter == pytest.approx(1.11e7, rel=0.01)
         assert is_circumcenter(norm, T, res.center) is None
+        # every start fails: the Euclidean center, the centroid, the vertices
+        # and the random starts
+        res = solve_circumcenter(norm, T)
+        assert res.status == "not_found"
+        assert res.starts_used == 2 + len(T.vertices) + circumcenter.RANDOM_STARTS
 
     def test_non_unique_center(self):
         # three certified l3 centers, R = 3.159, 3.203 and 7.058

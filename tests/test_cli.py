@@ -9,6 +9,7 @@ import pytest
 
 from minkcenters import CircumResult, cli
 from minkcenters.cli import EXIT_INVALID, EXIT_NO_CENTER, EXIT_OK, main
+from test_circumcenter import SEED7_6732
 
 
 def write_instance(path, obj):
@@ -192,11 +193,22 @@ class TestCenters:
                                  "center": [0, 0], "radius": None}}},
         dict(SIMPLEX_L1, problem={"simplex": {}}),
         dict(SIMPLEX_L1, seed=True),
+        *[dict(SIMPLEX_L1, tolerances=value) for value in (5, [], 0, False, "", None)],
+        dict(SIMPLEX_L1, problem={"simplex": SIMPLEX_L1["problem"]["simplex"],
+                                  "polygon": {"vertices": [[1, 0], [0, 1], [-1, 0]],
+                                              "center": [0, 0], "radius": 1.0}}),
     ], ids=["lp_missing_p", "lp_null_p", "lp_list_p", "null_eps_geom", "null_radius",
-            "simplex_missing_vertices", "bool_seed"])
+            "simplex_missing_vertices", "bool_seed", "number_tolerances", "list_tolerances",
+            "zero_tolerances", "false_tolerances", "string_tolerances", "null_tolerances",
+            "simplex_and_polygon"])
     def test_malformed_record_invalid(self, tmp_path, capsys, obj):
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unparsable_assume_center_invalid(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)
+        assert main(["centers", inst, "--assume-center", "1,x"]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: cannot parse point")
 
 
 class TestVerify:
@@ -287,8 +299,8 @@ def _scipy_submodules_after(code):
 
 
 def test_cli_import_loads_no_scipy_submodules():
-    # scipy.spatial, scipy.ndimage and scipy.optimize load only on the
-    # polyhedral, grid-oracle and smooth-fallback paths
+    # scipy.spatial and scipy.ndimage load only on the polyhedral and
+    # grid-oracle paths; no path loads scipy.optimize
     assert _scipy_submodules_after("import sys, minkcenters.cli") == ["[]"]
 
 
@@ -298,3 +310,11 @@ def test_newton_solve_loads_no_scipy_submodules():
             "res = solve_circumcenter(Norm.lp(3), random_simplex(4, np.random.default_rng(0))); "
             "print(res.found, res.starts_used)")
     assert _scipy_submodules_after(code) == ["True 1", "[]"]
+
+
+def test_start_list_solve_loads_no_scipy_submodules():
+    # found only after the first Newton run fails
+    code = ("import sys; from minkcenters import Norm, Simplex, solve_circumcenter; "
+            f"res = solve_circumcenter(Norm.lp(1.5), Simplex({SEED7_6732!r})); "
+            "print(res.found, res.starts_used > 1)")
+    assert _scipy_submodules_after(code) == ["True True", "[]"]
