@@ -20,13 +20,12 @@ from .norms import Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthog
 from .polygon import (CyclicPolygon, PolygonReport, parallelepiped_lift,
                       sample_cyclic_polygon, subpolygon_family,
                       verify_polygon_theorems)
-from .simplex import Simplex, euclid_is_orthocentric, euclid_orthocenter
+from .simplex import Simplex, euclid_orthocenter
 
 __all__ = [
     "Norm", "Tolerances", "is_isosceles_orthogonal", "is_birkhoff_orthogonal",
     "Line", "Hyperplane",
-    "Simplex",
-    "euclid_is_orthocentric", "euclid_orthocenter",
+    "Simplex", "euclid_orthocenter",
     "CircumResult", "is_circumcenter", "solve_circumcenter",
     "grid_oracle_circumcenters",
     "CentersReport", "euler_point", "monge_point",

@@ -36,6 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CentersReport:
+    """Centers of T at a circumcenter M of radius R.  facet_centroids and
+    division_points stay lists of d-vectors: readers join them with `+`
+    (perfbench/workloads.py does), which on arrays would add elementwise."""
+
     M: np.ndarray
     R: float
     G: np.ndarray
@@ -65,15 +69,6 @@ def _vertex_deleted(V, drop=None):
     keep = np.ones((len(drop), n), dtype=bool)
     keep[np.arange(len(drop))[:, None], drop] = False
     return V[np.nonzero(keep)[1].reshape(len(drop), -1)]
-
-
-def _division_points(V, M, k):
-    """F + (V_i - M)/k for every row i, with F = euler_point(V, M, k).
-
-    For the d+1 vertices A_i and k = d these are the points L^M_i dividing
-    [N_M, A_i] in the ratio 1:(d-1).
-    """
-    return list(euler_point(V, M, k) + (V - M) / k)
 
 
 def monge_point(T, M):
@@ -109,13 +104,19 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     the opposite edge midpoint.  Pairs with M at the midpoint, or with that
     line parallel to F, are skipped; at least d hyperplanes always remain.
     """
-    ridges, bases, directions = _monge_pairs(T, M, tol)
+    bases, normals = _m_hyperplane_arrays(T, *_monge_pairs(T, M, tol))
+    return [Hyperplane(base, normal) for base, normal in zip(bases, normals)]
+
+
+def _m_hyperplane_arrays(T, ridges, bases, directions):
+    """(bases, unit normals) of the M-hyperplanes, as arrays, from the
+    _monge_pairs arrays (ridges, ridge centroids, directions)."""
     span = np.concatenate([ridges[:, 1:] - ridges[:, :1], directions[:, None]], axis=1)
     # one SVD of the stack: the span has rank d-1 unless the direction is
     # parallel to the ridge, and the last right singular vector is the normal
     _, sv, vh = np.linalg.svd(span)
     keep = sv[:, -1] > 1e-10 * max(1.0, T.diameter)
-    return [Hyperplane(base, normal) for base, normal in zip(bases[keep], vh[keep, -1])]
+    return bases[keep], vh[keep, -1]
 
 
 def _affine_ratio(M, X, s):
@@ -130,16 +131,22 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
     a circumcenter at tolerance (ValueError otherwise).  Ratios are checked
     through affine parameters along the Euler line (norm-independent), and
     the report records their residuals.  The 2(d+1) Feuerbach incidence
-    points are the facet centroids G_i and the division points L^M_i.
+    points are the facet centroids G_i and the division points
+    L^M_i = F_M + (A_i - M)/d, which divide [N_M, A_i] in the ratio 1:(d-1).
     """
     if M is None:
         result = solve_circumcenter(norm, T, tol)
-        if not result.found:
-            raise ValueError("no circumcenter found at tolerance")
-        M = result.center
-    R = is_circumcenter(norm, T, M, tol)
+        M, R = result.center, result.radius  # both None unless found
+    else:
+        R = is_circumcenter(norm, T, M, tol)
     if R is None:
-        raise ValueError("M is not a circumcenter at tolerance")
+        raise ValueError("no circumcenter found at tolerance" if M is None
+                         else "M is not a circumcenter at tolerance")
+    return _report(T, M, R, tol)
+
+
+def _report(T, M, R, tol):
+    """full_report of T at M, already certified as a circumcenter of radius R."""
     M = np.asarray(M, dtype=float)
     V = T.vertices
     d = T.dim
@@ -169,6 +176,6 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
         M=M, R=R, G=G, N_M=N_M, P_M=P_M, F_M=F_M,
         feuerbach_radius=R / d, euler_line=euler, collapsed=collapsed,
         facet_centroids=list(euler_point(_vertex_deleted(V), M, d)),
-        division_points=_division_points(V, M, d),
+        division_points=list(F_M + (V - M) / d),
         ratio_residuals=ratios,
     )

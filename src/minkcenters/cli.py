@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .centers import full_report
+from .centers import _report
 from .circumcenter import is_circumcenter, solve_circumcenter
 from .figures import SHOW_MODES, render_figure
 from .instances import InstanceError, dump_report, load_instance, write_atomic
@@ -72,11 +72,17 @@ def _build_parser():
     return p
 
 
-def _parse_point(text):
+def _parse_point(text, dim):
+    """The finite point of R^dim written as comma-separated coordinates."""
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        point = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
         raise InstanceError(f"cannot parse point: {text!r}") from None
+    if len(point) != dim:
+        raise InstanceError(f"point {text!r} needs {dim} coordinates, not {len(point)}")
+    if not np.isfinite(point).all():
+        raise InstanceError(f"point coordinates must be finite: {text!r}")
+    return point
 
 
 def _diagnostics(inst):
@@ -88,8 +94,9 @@ def _simplex_report(inst, assume_center):
     T = inst.simplex
     diagnostics = _diagnostics(inst)
     if assume_center is not None:
-        M = _parse_point(assume_center)
-        if is_circumcenter(inst.norm, T, M, tol) is None:
+        M = _parse_point(assume_center, T.dim)
+        R = is_circumcenter(inst.norm, T, M, tol)
+        if R is None:
             print("error: --assume-center point is not a circumcenter at tolerance",
                   file=sys.stderr)
             return None, EXIT_NO_CENTER
@@ -104,8 +111,8 @@ def _simplex_report(inst, assume_center):
         if not result.found:
             print("error: no circumcenter found at tolerance", file=sys.stderr)
             return None, EXIT_NO_CENTER
-        M = result.center
-    body = asdict(full_report(inst.norm, T, M, tol))
+        M, R = result.center, result.radius
+    body = asdict(_report(T, M, R, tol))
     residuals = body.pop("ratio_residuals")
     return {"instance": inst.raw, "kind": "simplex", "report": body,
             "residuals": residuals, "diagnostics": diagnostics}, EXIT_OK

@@ -84,7 +84,7 @@ def render_figure(instance, show="euler", width=600):
         M, R = rep.M, rep.R
         centers = {"M": rep.M, "G": rep.G, "F_M": rep.F_M, "N_M": rep.N_M, "P_M": rep.P_M}
         circles = {"circum": (M, R), "feuerbach": (rep.F_M, rep.feuerbach_radius)}
-        incidences = [np.asarray(p) for p in rep.facet_centroids + rep.division_points]
+        incidences = np.concatenate([rep.facet_centroids, rep.division_points])
         lift = None
     else:
         P = instance.polygon
@@ -95,7 +95,7 @@ def render_figure(instance, show="euler", width=600):
                    "P_M": rep.P_M, "C_M": rep.C_M}
         circles = {"circum": (M, R), "feuerbach": (rep.F_M, R / P.d),
                    "half_radius": (rep.C_M, R / 2)}
-        incidences = [np.asarray(p) for p in rep.sub_centroids + rep.midpoints]
+        incidences = np.concatenate([rep.sub_centroids, rep.midpoints])
         lift = parallelepiped_lift(P) if show == "clifford-lift" else None
 
     bounds = list(vertices) + list(centers.values())

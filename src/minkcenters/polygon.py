@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import Line
-from .centers import _division_points, _vertex_deleted, euler_point
+from .centers import _vertex_deleted, euler_point
 from .norms import DEFAULT_TOL
 
 __all__ = [
@@ -45,10 +45,11 @@ class CyclicPolygon:
         if V.shape[0] < 4:
             raise ValueError("need at least 4 vertices (d >= 3)")
         M = np.asarray(M, dtype=float)
-        if not R > 0:
-            raise ValueError("radius must be positive")
-        dd = norm(V - M)
-        if np.abs(dd - R).max() > tol.eps_geom * R:
+        if not (np.isfinite(V).all() and np.isfinite(M).all()):
+            raise ValueError("vertex and center coordinates must be finite")
+        if not 0 < R < np.inf:
+            raise ValueError("radius must be positive and finite")
+        if not np.abs(norm(V - M) - R).max() <= tol.eps_geom * R:
             raise ValueError("vertices are not on the circle S(M, R) at tolerance")
         c = V.mean(axis=0)
         order = np.argsort(np.arctan2(V[:, 1] - c[1], V[:, 0] - c[0]))
@@ -74,16 +75,19 @@ class CyclicPolygon:
 
 @dataclass(frozen=True)
 class PolygonReport:
+    """Centers of a cyclic polygon; the sub_* fields and midpoints are
+    (d+1, 2) arrays whose row i belongs to vertex A_i."""
+
     G: np.ndarray
     F_M: np.ndarray
     N_M: np.ndarray
     P_M: np.ndarray
     C_M: np.ndarray
-    sub_complementary: list  # P_M^i
-    sub_spatial: list        # C_M^i
-    sub_monge: list          # N_M^i
-    sub_centroids: list      # G_i
-    midpoints: list          # E_i = midpoint of [A_i, P_M]
+    sub_complementary: np.ndarray  # P_M^i
+    sub_spatial: np.ndarray        # C_M^i
+    sub_monge: np.ndarray          # N_M^i
+    sub_centroids: np.ndarray      # G_i
+    midpoints: np.ndarray          # E_i = midpoint of [A_i, P_M]
     circles: dict = field(default_factory=dict)  # name -> (center, radius)
 
 
@@ -108,11 +112,11 @@ def subpolygon_family(P):
     }
     return PolygonReport(G=euler_point(V, M, d + 1), F_M=F_M,
                          N_M=euler_point(V, M, d - 1), P_M=P_M, C_M=C_M,
-                         sub_complementary=list(euler_point(sub, M, 1)),
-                         sub_spatial=list(euler_point(sub, M, 2)),
-                         sub_monge=list(euler_point(sub, M, d - 2)),
-                         sub_centroids=list(euler_point(sub, M, d)),
-                         midpoints=[0.5 * (v + P_M) for v in V], circles=circles)
+                         sub_complementary=euler_point(sub, M, 1),
+                         sub_spatial=euler_point(sub, M, 2),
+                         sub_monge=euler_point(sub, M, d - 2),
+                         sub_centroids=euler_point(sub, M, d),
+                         midpoints=0.5 * (V + P_M), circles=circles)
 
 
 def verify_polygon_theorems(P, tol=DEFAULT_TOL):
@@ -165,7 +169,7 @@ def _polygon_claims(P, rep, tol):
                                                (d - 2) / (d - 1)),
         # 5.2(b): sub-centroids G_i and division points L^M_i on S(F_M, R/d)
         "5.2b_feuerbach_circle": _sphere_defect(
-            norm, rep.sub_centroids + _division_points(V, P.M, d), rep.F_M, R / d),
+            norm, np.concatenate([rep.sub_centroids, rep.F_M + (V - P.M) / d]), rep.F_M, R / d),
         # 5.2(c): sub-Monge points concyclic on S(euler_point(V, M, d-2), R/(d-2))
         "5.2c_sub_monge_circle": _sphere_defect(norm, rep.sub_monge, c, r),
     }

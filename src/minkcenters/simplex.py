@@ -4,17 +4,11 @@ cross-check behind the Monge point's independent oracle.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .norms import DEFAULT_TOL
 
-__all__ = [
-    "Simplex",
-    "euclid_is_orthocentric",
-    "euclid_orthocenter",
-]
+__all__ = ["Simplex", "euclid_orthocenter"]
 
 
 class Simplex:
@@ -44,35 +38,25 @@ class Simplex:
         return f"Simplex(d={self.dim})"
 
 
-def euclid_is_orthocentric(T, tol=DEFAULT_TOL):
-    """Every pair of vertex-disjoint edges is Euclidean-perpendicular.
-
-    Trivially true for triangles (no disjoint edge pairs).
-    """
-    V = T.vertices
-    scale = T.diameter
-    for e1, e2 in itertools.combinations(itertools.combinations(range(T.dim + 1), 2), 2):
-        if set(e1) & set(e2):
-            continue
-        u = V[e1[1]] - V[e1[0]]
-        w = V[e2[1]] - V[e2[0]]
-        if abs(u @ w) > tol.eps_geom * scale**2:
-            return False
-    return True
-
-
 def euclid_orthocenter(T, tol=DEFAULT_TOL):
     """Altitude intersection of T, or None when T is not orthocentric.
 
-    The altitude through A_i is perpendicular to the opposite facet, so H
-    solves (H - A_i).(A_j - A_k) = 0 for every i and every edge {j, k} of
-    that facet; one least-squares solve of the whole system gives H.  This
-    is the independent oracle for the Monge point.
+    T is orthocentric when every two vertex-disjoint edges are Euclidean
+    perpendicular (always, for a triangle).  The altitude through A_i is
+    perpendicular to the opposite facet, so H solves (H - A_i).(A_j - A_k)
+    = 0 for every i and every edge {j, k} of that facet; one least-squares
+    solve of the whole system gives H.  This is the independent oracle for
+    the Monge point.
     """
-    if not euclid_is_orthocentric(T, tol):
+    n = T.dim + 1
+    edges = np.transpose(np.triu_indices(n, 1))
+    E = T.vertices[edges[:, 1]] - T.vertices[edges[:, 0]]
+    disjoint = (edges[:, None, :, None] != edges[None, :, None, :]).all(axis=(2, 3))
+    if not (np.abs(E @ E.T)[disjoint] <= tol.eps_geom * T.diameter ** 2).all():
         return None
     c = T.vertices.mean(axis=0)
     V = T.vertices - c
-    ijk = np.array([t for t in itertools.permutations(range(T.dim + 1), 3) if t[1] < t[2]])
-    U = V[ijk[:, 1]] - V[ijk[:, 2]]
-    return c + np.linalg.lstsq(U, np.sum(U * V[ijk[:, 0]], axis=1), rcond=None)[0]
+    # one row per vertex i and edge {j, k} of its opposite facet, i-major
+    i, e = np.nonzero((edges != np.arange(n)[:, None, None]).all(axis=2))
+    U = V[edges[e, 0]] - V[edges[e, 1]]
+    return c + np.linalg.lstsq(U, np.sum(U * V[i], axis=1), rcond=None)[0]

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .affine import Line
-from .centers import _monge_pairs, euler_point, full_report, m_hyperplanes, monge_point
+from .centers import _m_hyperplane_arrays, _monge_pairs, _report, euler_point, monge_point
 from .circumcenter import _certified, solve_circumcenter
 from .norms import DEFAULT_TOL, Norm, Tolerances, is_birkhoff_orthogonal, is_isosceles_orthogonal
 from .polygon import _sphere_defect, sample_cyclic_polygon, verify_polygon_theorems
@@ -174,17 +174,17 @@ def simplex_claims(norm, T, M, tol=DEFAULT_TOL):
     and euler_collinear are left out when the Euler line collapses.
     """
     scale = T.diameter
-    ok, _, defect = _certified(norm, T.vertices, M, scale, tol)
+    ok, R, defect = _certified(norm, T.vertices, M, scale, tol)
     claims = {"circumcenter_selfconsistent": defect / scale}
     if not ok:
         return claims
-    rep = full_report(norm, T, M, tol)
+    rep = _report(T, M, R, tol)
     N = rep.N_M
-    _, bases, directions = _monge_pairs(T, M, tol)
-    claims["monge_concurrency"] = float(Line(bases, directions).distance(N).max()) / scale
-    planes = m_hyperplanes(T, M, tol)
-    claims["m_hyperplane_incidence"] = max(abs((N - h.base) @ h.normal()) for h in planes) / scale
-    claims["m_hyperplane_count"] = float(T.dim - len(planes))
+    ridges, centroids, directions = _monge_pairs(T, M, tol)
+    claims["monge_concurrency"] = float(Line(centroids, directions).distance(N).max()) / scale
+    bases, normals = _m_hyperplane_arrays(T, ridges, centroids, directions)
+    claims["m_hyperplane_incidence"] = float(np.abs(np.vecdot(N - bases, normals)).max()) / scale
+    claims["m_hyperplane_count"] = float(T.dim - len(normals))
     if not rep.collapsed:
         claims["euler_ratios"] = max(v for v in rep.ratio_residuals.values()
                                      if not isinstance(v, str))

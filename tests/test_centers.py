@@ -275,3 +275,21 @@ class TestSimplexClaims:
         claims = simplex_claims(EUCL, REGULAR, centroid(REGULAR))
         assert "euler_ratios" not in claims and "euler_collinear" not in claims
         assert claims["feuerbach_incidence"] <= 1e-10
+
+    def test_array_claims_match_list_views(self):
+        # the claims' array expressions against the Line and Hyperplane lists
+        rng = np.random.default_rng(0)
+        for p in (2, 1.5, 3):
+            norm = Norm.lp(p)
+            for d in range(2, 9):
+                for _ in range(10):
+                    T = random_simplex(d, rng)
+                    M = solve_circumcenter(norm, T).center
+                    claims = simplex_claims(norm, T, M)
+                    N, diam = monge_point(T, M), T.diameter
+                    planes = m_hyperplanes(T, M)
+                    lines = max(line.distance(N) for line in monge_lines(T, M))
+                    incidence = max(abs((N - h.base) @ h.normal()) for h in planes)
+                    assert abs(claims["monge_concurrency"] * diam - lines) <= 1e-14 * diam
+                    assert abs(claims["m_hyperplane_incidence"] * diam - incidence) <= 1e-14 * diam
+                    assert claims["m_hyperplane_count"] == d - len(planes)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,30 @@ class TestCenters:
     def test_malformed_record_invalid(self, tmp_path, capsys, obj):
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--assume-center", "0"], "needs 2 coordinates, not 1"),
+        (["--assume-center", "0,0,0"], "needs 2 coordinates, not 3"),
+        (["--assume-center=nan,0"], "coordinates must be finite"),
+    ], ids=["one_coordinate", "three_coordinates", "nan_coordinate"])
+    def test_bad_assume_center_invalid(self, tmp_path, capsys, argv, message):
+        # the instance is the 2-D l1 triangle with center (0, 0)
+        inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)
+        assert main(["centers", inst] + argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: point ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("polygon", [
+        {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "center": [math.nan, 0], "radius": 1},
+        {"vertices": [[1, 0], [0, 1], [-1, 0], [math.nan, -1]], "center": [0, 0], "radius": 1},
+        {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "center": [0, 0], "radius": math.inf},
+    ], ids=["nan_center", "nan_vertex", "infinite_radius"])
+    def test_non_finite_polygon_invalid(self, tmp_path, capsys, polygon):
+        obj = {"norm": {"kind": "euclidean"}, "problem": {"polygon": polygon}}
+        assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_unparsable_assume_center_invalid(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from minkcenters import (Simplex, euclid_is_orthocentric, euclid_orthocenter,
-                         euler_point)
+from minkcenters import Simplex, euclid_orthocenter, euler_point
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
 from minkcenters.verify import random_simplex
@@ -94,27 +93,13 @@ def test_opposite_edge():
     assert np.allclose(directions[-1], (V[2] + V[3]) / 2)
 
 
-class TestOrthocentricity:
-    def test_trirectangular(self):
-        assert euclid_is_orthocentric(TRIRECT)
-
-    def test_corner_orthogonal_scaled(self):
-        T = Simplex([[0, 0, 0], [3, 0, 0], [0, 2, 0], [0, 0, 2]])
-        assert euclid_is_orthocentric(T)
-
-    def test_generic_not_orthocentric(self):
-        rng = np.random.default_rng(9)
-        T = random_simplex(3, rng)
-        assert not euclid_is_orthocentric(T)
-
-    def test_triangles_always(self):
-        rng = np.random.default_rng(10)
-        assert euclid_is_orthocentric(random_simplex(2, rng))
-
-
 class TestOrthocenter:
     def test_trirectangular_orthocenter_at_corner(self):
-        assert np.allclose(euclid_orthocenter(TRIRECT), (0, 0, 0), atol=1e-9)
+        # corner-orthogonal simplices, equal and unequal legs
+        for T in (TRIRECT, Simplex([[0, 0, 0], [3, 0, 0], [0, 2, 0], [0, 0, 2]])):
+            H = euclid_orthocenter(T)
+            assert H is not None
+            assert np.allclose(H, (0, 0, 0), atol=1e-9)
 
     def test_right_triangle(self):
         T = Simplex([[0, 0], [1, 0], [0, 1]])
@@ -132,9 +117,13 @@ class TestOrthocenter:
             j, k = (i + 1) % 3, (i + 2) % 3
             u = T.vertices[j] - T.vertices[k]
             assert abs((H - T.vertices[i]) @ u) <= 1e-9 * np.linalg.norm(H) * np.linalg.norm(u)
-        rng = np.random.default_rng(1)
-        assert all(euclid_orthocenter(random_simplex(2, rng)) is not None for _ in range(1000))
+        # every triangle is orthocentric
+        for seed in (1, 10):
+            rng = np.random.default_rng(seed)
+            assert all(euclid_orthocenter(random_simplex(2, rng)) is not None
+                       for _ in range(1000))
 
     def test_non_orthocentric_none(self):
-        rng = np.random.default_rng(11)
-        assert euclid_orthocenter(random_simplex(3, rng)) is None
+        for seed in (9, 11):
+            rng = np.random.default_rng(seed)
+            assert euclid_orthocenter(random_simplex(3, rng)) is None
