@@ -284,6 +284,12 @@ def grid_oracle_circumcenters(norm, T, grid_step, cell_cap=10_000_000):
     every side.  Returns one (point, radius) per connected cluster of grid
     points whose equidistance defect is below 2 * grid_step.  Used to
     corroborate solver output and to exhibit non-unique center sets.
+
+    The grid is stored coordinate-major, as a (d, cells) array X.  In
+    chunks of cell_cap // (10 (d + 1)) cells, the norm is called once per
+    vertex A_i on the (cells, d) view (X - A_i).T, which is F-ordered, so it
+    reduces over d along contiguous rows; the distances fill a (d + 1, cells)
+    array whose mean and defect are reductions over axis 0.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -297,16 +303,14 @@ def grid_oracle_circumcenters(norm, T, grid_step, cell_cap=10_000_000):
     shape = tuple(len(a) for a in axes)
     if np.prod(shape) > cell_cap:
         raise ValueError(f"grid too large: {np.prod(shape)} cells (cap {cell_cap})")
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (*shape, d)
-    pts = mesh.reshape(-1, d)
-    defect = np.empty(len(pts))
-    radius = np.empty(len(pts))
+    X = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(d, -1)  # (d, cells)
+    dist = np.empty((d + 1, X.shape[1]))
     chunk = max(1, cell_cap // (10 * (d + 1)))
-    for i in range(0, len(pts), chunk):
-        dd = norm(pts[i:i + chunk, None, :] - V[None, :, :])  # (chunk, d+1)
-        r = dd.mean(axis=1)
-        defect[i:i + chunk] = np.abs(dd - r[:, None]).max(axis=1)
-        radius[i:i + chunk] = r
+    for i in range(0, X.shape[1], chunk):
+        for j, v in enumerate(V):
+            dist[j, i:i + chunk] = norm((X[:, i:i + chunk] - v[:, None]).T)
+    radius = dist.mean(axis=0)
+    defect = np.abs(dist - radius).max(axis=0)
     from scipy import ndimage
 
     mask = (defect <= 2.0 * grid_step).reshape(shape)
@@ -315,7 +319,8 @@ def grid_oracle_circumcenters(norm, T, grid_step, cell_cap=10_000_000):
     flat_labels = labels.reshape(-1)
     for k in range(1, n + 1):
         sel = flat_labels == k
-        # cluster representative: the best-defect grid point
+        # cluster representative: the best-defect grid point, copied so that
+        # the result does not keep the grid alive
         j = np.flatnonzero(sel)[np.argmin(defect[sel])]
-        out.append((pts[j], float(radius[j])))
+        out.append((X[:, j].copy(), float(radius[j])))
     return out

@@ -132,8 +132,9 @@ def _plain(x):
 
 
 def dump_report(report_obj):
-    """Deterministic serialization: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(_plain(report_obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization: sorted keys, fixed layout, trailing newline.
+    A non-finite number raises ValueError, since strict JSON has none."""
+    return json.dumps(_plain(report_obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_atomic(path, text):

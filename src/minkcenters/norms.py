@@ -129,7 +129,9 @@ class Norm:
         if v.shape[-1] < 1:
             raise ValueError("empty vector")
         if self._facets is not None:
-            return np.maximum(np.max(v @ self._facets.T, axis=-1), 0.0)
+            # facet rows first: one (facets, n) product, not n small ones
+            x = v.reshape(-1, self.dim)
+            return np.maximum((self._facets @ x.T).max(axis=0), 0.0).reshape(v.shape[:-1])[()]
         if self.p == 2.0:
             return np.linalg.norm(v, axis=-1)
         if math.isinf(self.p):
@@ -142,7 +144,8 @@ class Norm:
         Each row g supports the unit ball at x: g.x = ||x|| and g.y <= ||y||
         for every y.  A smooth norm has one, its gradient.  A polyhedral
         norm has the facet rows F_f that come within eps*||x|| of attaining
-        the norm, F_f.x >= (1 - eps) ||x||.  x must be nonzero.
+        the norm, F_f.x >= (1 - eps) ||x||; for l_1, the rows sign(x) with
+        the coordinates of ``_l1_free`` flipped every way.  x must be nonzero.
         """
         x = np.asarray(x, dtype=float)
         nx = float(self(x))
@@ -152,13 +155,11 @@ class Norm:
             return self.gradient(x[None, :])
         slack = eps * nx
         if self.p == 1.0:
-            # flipping x_k costs a sign row 2|x_k|, so only rows that flip where
-            # 2|x_k| <= slack can pass the filter; facets(d) has all 2^d rows
-            flip = np.flatnonzero(2.0 * np.abs(x) <= slack)
-            F = np.tile(np.where(x < 0, -1.0, 1.0), (2 ** len(flip), 1))
-            F[:, flip] = list(itertools.product((1.0, -1.0), repeat=len(flip)))
-        else:
-            F = self.facets(len(x))
+            free = np.flatnonzero(_l1_free(x, slack))
+            F = np.tile(np.where(x < 0, -1.0, 1.0), (2 ** len(free), 1))
+            F[:, free] = list(itertools.product((1.0, -1.0), repeat=len(free)))
+            return F  # not facets(d), which builds all 2^d rows
+        F = self.facets(len(x))
         return F[F @ x >= nx - slack]
 
     def gradient(self, X):
@@ -233,6 +234,15 @@ class Norm:
         return "Norm.euclidean()"
 
 
+def _l1_free(x, slack):
+    """Coordinates where an l_1 subgradient may take either sign.  Flipping
+    x_k costs 2|x_k| of the norm; x_k is free when flipping it together with
+    every coordinate no larger costs at most slack, so that a sign row
+    flipped on any set of free coordinates comes within slack of ||x||."""
+    a = 2.0 * np.abs(x)
+    return np.where(a <= a[:, None], a, 0.0).sum(axis=1) <= slack
+
+
 def _check_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -259,15 +269,25 @@ def is_birkhoff_orthogonal(spec, x, y, tol=DEFAULT_TOL):
     the unit ball at x vanishes on y.  Those functionals are the convex hull
     of the rows of spec.subgradients(x), so g.y sweeps [min G.y, max G.y] and
     the predicate asks whether that interval meets [-eps ||y||, eps ||y||].
-    The test is linear and homogeneous in both x and y.
+    The test is linear and homogeneous in both x and y.  Under l_1 the
+    interval is sign(x).y over the fixed coordinates -+ sum |y_k| over the
+    free ones, so no row is built.
     """
     x, y = _check_pair(x, y)
     ny = spec(y)
     if ny == 0.0:
         raise ValueError("y must be nonzero")
-    if spec(x) == 0.0:
+    nx = spec(x)
+    if nx == 0.0:
         return True
-    gy = spec.subgradients(x, tol.eps_geom) @ y
+    if spec.p == 1.0:
+        free = _l1_free(x, tol.eps_geom * nx)
+        fixed = np.where(x < 0, -y, y)[~free].sum()
+        spread = np.abs(y[free]).sum()
+        lo, hi = fixed - spread, fixed + spread
+    else:
+        gy = spec.subgradients(x, tol.eps_geom) @ y
+        lo, hi = gy.min(), gy.max()
     slack = tol.eps_geom * ny
-    return bool(gy.min() <= slack and gy.max() >= -slack)
+    return bool(lo <= slack and hi >= -slack)
 

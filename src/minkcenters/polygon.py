@@ -45,6 +45,8 @@ class CyclicPolygon:
         if V.shape[0] < 4:
             raise ValueError("need at least 4 vertices (d >= 3)")
         M = np.asarray(M, dtype=float)
+        if M.shape != (2,):
+            raise ValueError("the center must be a point of the plane")
         if not (np.isfinite(V).all() and np.isfinite(M).all()):
             raise ValueError("vertex and center coordinates must be finite")
         if not 0 < R < np.inf:

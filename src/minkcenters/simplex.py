@@ -23,8 +23,7 @@ class Simplex:
         if not np.all(np.isfinite(V)):
             raise ValueError("vertex coordinates must be finite")
         scale = max(np.ptp(V, axis=0).max(), 1e-300)
-        det = np.linalg.det(V[1:] - V[0])
-        if abs(det) <= tol.eps_geom * scale ** V.shape[1]:
+        if not abs(np.linalg.det((V[1:] - V[0]) / scale)) > tol.eps_geom:
             raise ValueError("general position violated")
         self.vertices = V
         # Euclidean diameter of the vertex set (tolerance scale)

@@ -183,6 +183,52 @@ class TestGridOracle:
             grid_oracle_circumcenters(EUCL, UNIT_TRIANGLE, 0)
 
 
+def row_major_oracle(norm, T, step):
+    """The grid oracle written row-major: the grid as (cells, d) rows and one
+    norm call on the (cells, d+1, d) differences, then the same mask,
+    ndimage.label and best-defect point per cluster."""
+    from scipy import ndimage
+
+    V, d = T.vertices, T.dim
+    lo, hi = V.min(axis=0) - T.diameter, V.max(axis=0) + T.diameter
+    axes = [np.arange(lo[k], hi[k] + step, step) for k in range(d)]
+    shape = tuple(len(a) for a in axes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    dd = norm(pts[:, None, :] - V[None])
+    r = dd.mean(axis=1)
+    defect = np.abs(dd - r[:, None]).max(axis=1)
+    labels, n = ndimage.label((defect <= 2.0 * step).reshape(shape))
+    out = []
+    for k in range(1, n + 1):
+        cells = np.flatnonzero(labels.reshape(-1) == k)
+        j = cells[np.argmin(defect[cells])]
+        out.append((pts[j], float(r[j])))
+    return out, len(pts)
+
+
+class TestGridOracleLayout:
+    """The coordinate-major oracle returns the row-major oracle's clusters,
+    with the default chunk and with many chunks."""
+
+    @pytest.mark.parametrize("d, steps", [(2, 60), (3, 12)])
+    @pytest.mark.parametrize("name", ["euclidean", "l4", "linf", "l1", "polytope"])
+    def test_matches_row_major_reference(self, name, d, steps):
+        rng = np.random.default_rng(20 + d)
+        norm = {"euclidean": EUCL, "l4": Norm.lp(4), "linf": LINF, "l1": L1,
+                "polytope": random_polyhedral_norm(d, rng)}[name]
+        T = random_simplex(d, rng)
+        step = T.diameter / steps
+        expected, cells = row_major_oracle(norm, T, step)
+        assert expected  # every draw here has centers
+        # cell_cap = cells splits the grid into 10 (d + 1) chunks
+        for cap in (10_000_000, cells):
+            clusters = grid_oracle_circumcenters(norm, T, step, cell_cap=cap)
+            assert len(clusters) == len(expected)
+            for (p, r), (q, s) in zip(clusters, expected):
+                assert np.array_equal(p, q)
+                assert abs(r - s) <= 1e-12 * s
+
+
 def oracle_radius(norm, T, eps=1e-9):
     """Least circumradius by brute force, or None when no center exists.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkcenters import CircumResult, cli
+from minkcenters import CircumResult, cli, dump_report
 from minkcenters.cli import EXIT_INVALID, EXIT_NO_CENTER, EXIT_OK, main
 from test_circumcenter import SEED7_6732
 
@@ -137,6 +137,16 @@ class TestCenters:
         assert main(["centers", inst]) == EXIT_INVALID
         assert "general position" in capsys.readouterr().err
 
+    def test_huge_vertex_invalid_without_warning(self, tmp_path):
+        # the general-position test once raised scale ** d, which overflows here
+        obj = dict(DEGENERATE, problem={"simplex": {"vertices": [[0, 0], [1, 0], [1e300, 1]]}})
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "minkcenters.cli", "centers",
+             write_instance(tmp_path / "t.json", obj)],
+            env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stderr == "error: general position violated\n"
+
     def test_polygon_report(self, tmp_path, capsys):
         obj = {
             "norm": {"kind": "lp", "p": 1},
@@ -230,6 +240,15 @@ class TestCenters:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_polygon_center_shape_invalid(self, tmp_path, capsys):
+        polygon = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "center": [0, 0, 0],
+                   "radius": 1}
+        obj = {"norm": {"kind": "euclidean"}, "problem": {"polygon": polygon}}
+        assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == "error: the center must be a point of the plane\n"
+        assert captured.out == ""
+
     def test_unparsable_assume_center_invalid(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "t.json", SIMPLEX_L1)
         assert main(["centers", inst, "--assume-center", "1,x"]) == EXIT_INVALID
@@ -310,12 +329,23 @@ class TestFigure:
         assert "planar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dump_report_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dump_report({"report": {"M": np.array([0.0, value])}})
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _scipy_submodules_after(code):
     """Output lines of a fresh interpreter running code, then printing the
     SciPy submodules it loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _src_env()
     code += ("; print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage', 'scipy.optimize') "
              "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

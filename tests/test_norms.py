@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ class TestEval:
         for _ in range(50):
             v = rng.normal(size=2) * 5
             assert cube(v) == pytest.approx(np.abs(v).max(), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_polytope_rows_in_any_layout(self, d):
+        # the same rows give the same values one by one, in an (n, m, d)
+        # stack and in an F-ordered (n, d) view, as the grid oracle passes
+        rng = np.random.default_rng(d)
+        norm = random_polyhedral_norm(d, rng)
+        S = rng.normal(size=(30, 4, d))
+        rows = np.array([norm(v) for v in S.reshape(-1, d)]).reshape(30, 4)
+        assert isinstance(norm(S[0, 0]), float)
+        X = np.asfortranarray(S[:, 1])
+        assert not X.flags.c_contiguous
+        np.testing.assert_allclose(norm(S), rows, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(norm(X), rows[:, 1], rtol=1e-15, atol=0)
 
     def test_dimension_mismatch(self):
         cross = Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])
@@ -214,6 +229,35 @@ class TestBirkhoff:
     def test_zero_y_rejected(self):
         with pytest.raises(ValueError):
             is_birkhoff_orthogonal(Norm.euclidean(), (1, 0), (0, 0))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_l1_closed_form_matches_enumerated_rows(self, d):
+        # x has zeros and coordinates near eps ||x|| / 2, whose flips may
+        # not fit into the slack together; both answers occur
+        rng = np.random.default_rng(d)
+        l1, eps = Norm.lp(1), TOL.eps_geom
+        answers = set()
+        for _ in range(200):
+            x, y = rng.normal(size=(2, d))
+            k = rng.choice(d, size=rng.integers(1, d), replace=False)
+            x[k] = rng.choice([0.0, 0.1, 0.3, 0.45, 0.55], size=len(k)) * eps * l1(x)
+            x[k] *= rng.choice([-1.0, 1.0], size=len(k))
+            G = l1.subgradients(x, eps)
+            assert (G @ x >= (1 - eps) * l1(x)).all()
+            gy = G @ y
+            expected = bool(gy.min() <= eps * l1(y) and gy.max() >= -eps * l1(y))
+            assert is_birkhoff_orthogonal(l1, x, y) == expected
+            answers.add(expected)
+        assert answers == {True, False}
+
+    def test_l1_builds_no_rows(self, monkeypatch):
+        # e_1 at d = 18 has 17 free coordinates, 2^17 sign rows
+        x, y = np.eye(18)[0], np.random.default_rng(0).normal(size=18)
+        monkeypatch.setattr(Norm, "subgradients", None)
+        start = time.perf_counter()
+        assert is_birkhoff_orthogonal(Norm.lp(1), x, y)
+        assert not is_birkhoff_orthogonal(Norm.lp(1), x, x + 0.01 * y)
+        assert time.perf_counter() - start < 0.05
 
     @settings(max_examples=30, deadline=None)
     @given(vectors(2, -5, 5), vectors(2, -5, 5),
