@@ -78,14 +78,14 @@ def _certified(norm, V, M, diam, tol):
     """(accepted, R, defect) at M, the one circumcenter test of this module.
 
     M is accepted when its equidistance defect is at most eps_geom * diam and
-    floats resolve that bound: eps_mach * (R + max |V|), the rounding scale
-    of the distances ||V_i - M||, must be below it.  Far beyond that scale,
-    V - M rounds to -M and every defect reads 0, so the defect is reported
-    as inf there.
-    """
+    floats resolve that bound: R > 0, and eps_mach * (R + max |V|), the
+    rounding scale of the distances ||V_i - M||, must be below it.  Far
+    beyond that scale V - M rounds to -M, and where every distance
+    underflows (large p, tiny coordinates) R reads 0; as every defect then
+    reads 0, the defect is reported as inf there."""
     R, defect = _equidistance(norm, V, M)
     bound = tol.eps_geom * diam
-    if not _EPS * (R + np.abs(V).max()) < bound:
+    if not (R > 0 and _EPS * (R + np.abs(V).max()) < bound):
         return False, R, np.inf
     return defect <= bound, R, defect
 
@@ -105,15 +105,6 @@ def _euclidean_center(V):
     A = 2.0 * (V[1:] - V[0])
     b = np.sum(V[1:] ** 2, axis=1) - np.sum(V[0] ** 2)
     return np.linalg.solve(A, b)
-
-
-def _result(norm, T, M, starts_used, tol):
-    """"found" at M if ``_certified`` accepts it on T's own coordinates, else
-    "not_found", so that a found center always passes is_circumcenter."""
-    ok, R, defect = _certified(norm, T.vertices, M, T.diameter, tol)
-    if not ok:
-        return CircumResult("not_found", None, None, defect, starts_used)
-    return CircumResult("found", M, R, defect, starts_used)
 
 
 def _polyhedral_center(norm, T, tol):
@@ -168,22 +159,21 @@ def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
     norms: the exact minimum-radius center, or status "none" when no center
     exists.  Other smooth l_p: Newton on the bisector system from the
     Euclidean center, then from the start list of ``_smooth_center``.  The
-    answer is "found" only where ``_certified`` accepts it, else "not_found".
+    answer is "found" only where ``_certified`` accepts it on T's own
+    coordinates, else "not_found", so a found center passes is_circumcenter.
     """
     V = T.vertices
-    if norm.p == 2.0:
-        return _result(norm, T, _euclidean_center(V), 1, tol)
+    if norm.smooth and norm.p != 2.0:
+        M, starts_used, (R, residual) = _smooth_center(norm, T, tol)
+        return CircumResult("not_found" if M is None else "found", M, R, residual, starts_used)
 
-    if not norm.smooth:
-        M = _polyhedral_center(norm, T, tol)
-        if M is None:
-            return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
-        return _result(norm, T, M, 1, tol)
-
-    M, starts_used, residual = _smooth_center(norm, T, tol)
+    M = _euclidean_center(V) if norm.p == 2.0 else _polyhedral_center(norm, T, tol)
     if M is None:
-        return CircumResult("not_found", None, None, residual, starts_used)
-    return _result(norm, T, M, starts_used, tol)
+        return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
+    ok, R, residual = _certified(norm, V, M, T.diameter, tol)
+    if not ok:
+        return CircumResult("not_found", None, None, residual, 1)
+    return CircumResult("found", M, R, residual, 1)
 
 
 def _smooth_center(norm, T, tol):
@@ -199,9 +189,10 @@ def _smooth_center(norm, T, tol):
     centroid), however far out the Euclidean center is.
 
     The solves run on the centred vertices V = T.vertices - c.  Each
-    candidate c + M is certified on T's own coordinates, as ``_result``
-    does, so a point that rounds out of tolerance there goes on to the next
-    start.  Returns (M or None, starts tried, least defect seen).
+    candidate c + M is certified on T's own coordinates, so a point that
+    rounds out of tolerance there goes on to the next start.  Returns
+    (M, starts tried, (R, defect)) at the first center that certifies, else
+    (None, starts tried, (None, least defect seen)).
     """
     c = T.vertices.mean(axis=0)
     V, diam, d = T.vertices - c, T.diameter, T.dim
@@ -220,11 +211,11 @@ def _smooth_center(norm, T, tol):
     best = np.inf
     for k, s in enumerate(starts(), start=1):
         M = c + _newton(F, J, s, diam)
-        ok, _, res = _certified(norm, T.vertices, M, diam, tol)
-        best = min(best, res)
+        ok, R, res = _certified(norm, T.vertices, M, diam, tol)
         if ok:
-            return M, k, best
-    return None, k, best
+            return M, k, (R, res)
+        best = min(best, res)
+    return None, k, (None, best)
 
 
 def _bisector_system(norm, V):

@@ -18,14 +18,12 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .centers import _report
 from .circumcenter import is_circumcenter, solve_circumcenter
 from .figures import SHOW_MODES, render_figure
 from .instances import InstanceError, dump_report, load_instance, write_atomic
-from .norms import Tolerances
+from .norms import Tolerances, _in_range, _reals
 from .polygon import _polygon_claims, subpolygon_family
 from .verify import run_suites
 
@@ -73,15 +71,16 @@ def _build_parser():
 
 
 def _parse_point(text, dim):
-    """The finite point of R^dim written as comma-separated coordinates."""
+    """The point of R^dim written as comma-separated coordinates."""
     try:
-        point = np.array([float(x) for x in text.split(",")], dtype=float)
+        point = [float(x) for x in text.split(",")]
     except ValueError:
         raise InstanceError(f"cannot parse point: {text!r}") from None
     if len(point) != dim:
         raise InstanceError(f"point {text!r} needs {dim} coordinates, not {len(point)}")
-    if not np.isfinite(point).all():
-        raise InstanceError(f"point coordinates must be finite: {text!r}")
+    what = f"point {text!r} coordinates"
+    point = _reals(point, what, 1)
+    _in_range(point, what)
     return point
 
 
@@ -148,13 +147,8 @@ def cmd_centers(args):
 def cmd_verify(args):
     dims = [int(x) for x in args.dims.split(",")] if args.dims else None
     norms = args.norms.split(",") if args.norms else None
-    try:
-        tol = None if args.tol is None else Tolerances(args.tol)
-        results = run_suites(args.suite, args.trials, dims=dims, norms=norms,
-                             seed=args.seed, tol=tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    tol = None if args.tol is None else Tolerances(args.tol)
+    results = run_suites(args.suite, args.trials, dims=dims, norms=norms, seed=args.seed, tol=tol)
     all_ok = True
     for suite, claims in results.items():
         for claim, st in sorted(claims.items()):
@@ -167,12 +161,7 @@ def cmd_verify(args):
 
 def cmd_figure(args):
     inst = load_instance(args.instance, args.tol)
-    try:
-        svg = render_figure(inst, show=args.show, width=args.width)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    write_atomic(args.out, svg)
+    write_atomic(args.out, render_figure(inst, show=args.show, width=args.width))
     return EXIT_OK
 
 

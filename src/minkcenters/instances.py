@@ -9,9 +9,14 @@ An instance file is one JSON object:
 
 The polygon variant of "problem" is {"polygon": {"vertices": [...],
 "center": [...], "radius": r, "norm": {...}}} where the inner norm is
-optional and overrides the top-level one.  Unknown fields are rejected.
-An eps_geom passed to load_instance or parse_instance (the CLI's --tol) wins
-over the file's, and the file's over the default.
+optional and overrides the top-level one.  Unknown fields are rejected, and
+every number and point passes one checker, ``norms._reals``: a bool, string,
+null, object, ragged list or non-finite value is rejected where a number
+belongs (the l_p exponent may also be "inf" or "infinity"), as are
+coordinates of magnitude 1e150 or more and a simplex diameter or polygon
+radius of 1e-150 or less.  An eps_geom passed to load_instance or
+parse_instance (the CLI's --tol) wins over the file's, and the file's over
+the default.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .norms import DEFAULT_TOL, Norm, Tolerances
+from .norms import DEFAULT_TOL, Norm, Tolerances, _require_keys
 from .polygon import CyclicPolygon
 from .simplex import Simplex
 
@@ -31,27 +36,6 @@ __all__ = ["InstanceError", "Instance", "load_instance", "parse_instance",
 
 class InstanceError(ValueError):
     """Invalid instance file (maps to CLI exit code 1)."""
-
-
-def _require_keys(obj, allowed, where, required=()):
-    if not isinstance(obj, dict):
-        raise InstanceError(f"{where} must be a JSON object")
-    extra = set(obj) - set(allowed)
-    if extra:
-        raise InstanceError(f"unknown fields in {where}: {sorted(extra)}")
-    for key in required:
-        if key not in obj:
-            raise InstanceError(f"{where} is missing the {key!r} field")
-
-
-def _build(where, make, *args):
-    """make(*args), with its ValueError or TypeError raised as InstanceError."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from None
-    except TypeError as exc:  # e.g. null or a list where a number belongs
-        raise InstanceError(f"bad value in {where}: {exc}") from None
 
 
 class Instance:
@@ -67,40 +51,41 @@ class Instance:
 
 
 def parse_instance(obj, eps_geom_override=None):
-    _require_keys(obj, {"norm", "problem", "tolerances", "seed"}, "instance",
-                  required=("norm", "problem"))
-    norm = _build("norm record", Norm.from_json, obj["norm"])
+    try:
+        _require_keys(obj, {"norm", "problem", "tolerances", "seed"}, "instance",
+                      required=("norm", "problem"))
+        norm = Norm.from_json(obj["norm"])
 
-    tol_obj = obj.get("tolerances", {})
-    _require_keys(tol_obj, {"eps_geom"}, "tolerances")
-    eps_geom = _build("tolerances", float, tol_obj.get("eps_geom", DEFAULT_TOL.eps_geom))
-    tol = _build("tolerances", Tolerances,
-                 eps_geom if eps_geom_override is None else eps_geom_override)
+        tol_obj = obj.get("tolerances", {})
+        _require_keys(tol_obj, {"eps_geom"}, "tolerances")
+        tol = Tolerances(tol_obj.get("eps_geom", DEFAULT_TOL.eps_geom))
+        if eps_geom_override is not None:
+            tol = Tolerances(eps_geom_override)
 
-    seed = obj.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise InstanceError("seed must be an integer")
+        seed = obj.get("seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError("seed must be an integer")
 
-    problem = obj["problem"]
-    _require_keys(problem, {"simplex", "polygon"}, "problem")
-    if len(problem) != 1:
-        raise InstanceError("problem must contain exactly one of 'simplex' or 'polygon'")
+        problem = obj["problem"]
+        _require_keys(problem, {"simplex", "polygon"}, "problem")
+        if len(problem) != 1:
+            raise ValueError("problem must contain exactly one of 'simplex' or 'polygon'")
 
-    if "simplex" in problem:
-        rec = problem["simplex"]
-        _require_keys(rec, {"vertices"}, "simplex record", required=("vertices",))
-        T = _build("simplex record", Simplex, rec["vertices"], tol)
-        return Instance(norm, "simplex", simplex=T, tolerances=tol, seed=seed,
+        if "simplex" in problem:
+            rec = problem["simplex"]
+            _require_keys(rec, {"vertices"}, "simplex record", required=("vertices",))
+            return Instance(norm, "simplex", simplex=Simplex(rec["vertices"], tol),
+                            tolerances=tol, seed=seed, raw=_normalize(obj))
+
+        rec = problem["polygon"]
+        _require_keys(rec, {"vertices", "center", "radius", "norm"}, "polygon record",
+                      required=("vertices", "center", "radius"))
+        pnorm = Norm.from_json(rec["norm"]) if "norm" in rec else norm
+        P = CyclicPolygon(rec["vertices"], rec["center"], rec["radius"], pnorm, tol)
+        return Instance(pnorm, "polygon", polygon=P, tolerances=tol, seed=seed,
                         raw=_normalize(obj))
-
-    rec = problem["polygon"]
-    _require_keys(rec, {"vertices", "center", "radius", "norm"}, "polygon record",
-                  required=("vertices", "center", "radius"))
-    pnorm = _build("polygon norm record", Norm.from_json, rec["norm"]) if "norm" in rec else norm
-    P = _build("polygon record", CyclicPolygon, rec["vertices"], rec["center"], rec["radius"],
-               pnorm, tol)
-    return Instance(pnorm, "polygon", polygon=P, tolerances=tol, seed=seed,
-                    raw=_normalize(obj))
+    except ValueError as exc:  # from the checks here and in the constructors
+        raise InstanceError(str(exc)) from None
 
 
 def load_instance(path, eps_geom_override=None):

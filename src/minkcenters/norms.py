@@ -30,18 +30,60 @@ __all__ = [
 ]
 
 
+def _reals(x, what, ndim):
+    """x as a float array with ndim axes: the one check on numbers from outside.
+    Bools, strings, null, dicts, ragged lists and non-finite entries raise
+    ValueError naming what.  Element types are read before converting, as
+    np.asarray(x, dtype=float) would accept "0" and True."""
+    a = x if isinstance(x, np.ndarray) and x.dtype.kind in "iuf" else np.asarray(x, dtype=object)
+    if a.ndim != ndim or a.dtype == object and not all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in a.flat):
+        shape = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+        raise ValueError(f"{what} must be {shape}")
+    try:
+        a = np.asarray(a, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _in_range(x, what, size=False):
+    """Raise ValueError unless |x| < 1e150 and, for a size (a diameter or a
+    radius), x > 1e-150, so that squared distances stay normal floats."""
+    if not np.abs(x).max() < 1e150:
+        raise ValueError(f"{what} must be below 1e150 in magnitude")
+    if size and not x > 1e-150:
+        raise ValueError(f"{what} must be above 1e-150")
+
+
+def _require_keys(obj, allowed, where, required=()):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise ValueError(f"unknown fields in {where}: {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where} is missing the {key!r} field")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared by the geometric predicates and solvers.
 
-    eps_geom is the incidence/equality tolerance.
+    eps_geom is the incidence/equality tolerance, a finite positive number.
     """
 
     eps_geom: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps_geom > 0:
+        eps = float(_reals(self.eps_geom, "eps_geom", 0))
+        if not eps > 0:
             raise ValueError("tolerances must be strictly positive")
+        object.__setattr__(self, "eps_geom", eps)
 
 
 DEFAULT_TOL = Tolerances()
@@ -60,17 +102,16 @@ class Norm:
     _FIELDS = {"euclidean": {"kind"}, "lp": {"kind", "p"}, "polyhedral": {"kind", "vertices"}}
 
     def __init__(self, kind, p=None, vertices=None):
-        if kind not in self._FIELDS:
+        if not isinstance(kind, str) or kind not in self._FIELDS:
             raise ValueError(f"unknown norm kind: {kind!r}")
         self.kind = kind
         self.p = 2.0 if kind == "euclidean" else None
         self.dim = None  # fixed only for polyhedral norms
         self._facets = None
         if kind == "lp":
-            p = float(p)
-            if not p >= 1:
+            self.p = float(p if p in ("inf", "infinity", math.inf) else _reals(p, "lp exponent", 0))
+            if not self.p >= 1:
                 raise ValueError("lp exponent must be >= 1")
-            self.p = p
         elif kind == "polyhedral":
             self._init_polyhedral(vertices)
 
@@ -91,13 +132,14 @@ class Norm:
     def _init_polyhedral(self, vertices):
         from scipy.spatial import ConvexHull, cKDTree
 
-        V = np.asarray(vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] < 2:
+        V = _reals(vertices, "unit-ball vertex coordinates", 2)
+        if V.shape[1] < 2:
             raise ValueError("polyhedral unit ball needs an (m, d) vertex array, d >= 2")
         d = V.shape[1]
         if d > 4:
             raise ValueError("polyhedral norms are supported for d <= 4")
         scale = np.abs(V).max()
+        _in_range(V, "unit-ball vertex coordinates")
         # central symmetry: every vertex must have its antipode in the set
         for v in V:
             if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * max(1.0, scale):
@@ -213,18 +255,10 @@ class Norm:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("norm record must be an object with a 'kind' field")
-        kind = obj["kind"]
-        if not isinstance(kind, str) or kind not in cls._FIELDS:
-            raise ValueError(f"unknown norm kind: {kind!r}")
-        extra = set(obj) - cls._FIELDS[kind]
-        if extra:
-            raise ValueError(f"unknown fields in norm record: {sorted(extra)}")
-        p = obj.get("p")
-        if p in ("inf", "infinity"):
-            p = math.inf
-        return cls(kind, p=p, vertices=obj.get("vertices"))
+        _require_keys(obj, {"kind", "p", "vertices"}, "norm record", required=("kind",))
+        norm = cls(obj["kind"], p=obj.get("p"), vertices=obj.get("vertices"))
+        _require_keys(obj, cls._FIELDS[norm.kind], "norm record")
+        return norm
 
     def __repr__(self):
         if self.kind == "lp":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .affine import Line
 from .centers import _vertex_deleted, euler_point
-from .norms import DEFAULT_TOL
+from .norms import DEFAULT_TOL, _in_range, _reals
 
 __all__ = [
     "CyclicPolygon",
@@ -39,18 +39,17 @@ class CyclicPolygon:
     """
 
     def __init__(self, vertices, M, R, norm, tol=DEFAULT_TOL):
-        V = np.asarray(vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] != 2:
+        V = _reals(vertices, "vertex coordinates", 2)
+        if V.shape[1] != 2:
             raise ValueError("cyclic polygons live in the plane")
         if V.shape[0] < 4:
             raise ValueError("need at least 4 vertices (d >= 3)")
-        M = np.asarray(M, dtype=float)
+        M = _reals(M, "center coordinates", 1)
         if M.shape != (2,):
             raise ValueError("the center must be a point of the plane")
-        if not (np.isfinite(V).all() and np.isfinite(M).all()):
-            raise ValueError("vertex and center coordinates must be finite")
-        if not 0 < R < np.inf:
-            raise ValueError("radius must be positive and finite")
+        _in_range(np.vstack([V, M]), "vertex and center coordinates")
+        R = float(_reals(R, "radius", 0))
+        _in_range(R, "radius", size=True)
         if not np.abs(norm(V - M) - R).max() <= tol.eps_geom * R:
             raise ValueError("vertices are not on the circle S(M, R) at tolerance")
         c = V.mean(axis=0)
@@ -66,7 +65,7 @@ class CyclicPolygon:
                 raise ValueError("vertices are not in convex position")
         self.vertices = V
         self.M = M
-        self.R = float(R)
+        self.R = R
         self.norm = norm
 
     @property

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import DEFAULT_TOL
+from .norms import DEFAULT_TOL, _in_range, _reals
 
 __all__ = ["Simplex", "euclid_orthocenter"]
 
@@ -15,19 +15,19 @@ class Simplex:
     """d+1 points in general position in R^d."""
 
     def __init__(self, vertices, tol=DEFAULT_TOL):
-        V = np.asarray(vertices, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1] + 1:
+        V = _reals(vertices, "vertex coordinates", 2)
+        if V.shape[0] != V.shape[1] + 1:
             raise ValueError("a d-simplex needs d+1 vertices in R^d")
         if V.shape[1] < 2:
             raise ValueError("dimension must be >= 2")
-        if not np.all(np.isfinite(V)):
-            raise ValueError("vertex coordinates must be finite")
         scale = max(np.ptp(V, axis=0).max(), 1e-300)
         if not abs(np.linalg.det((V[1:] - V[0]) / scale)) > tol.eps_geom:
             raise ValueError("general position violated")
+        _in_range(V, "vertex coordinates")
         self.vertices = V
         # Euclidean diameter of the vertex set (tolerance scale)
         self.diameter = float(np.linalg.norm(V[:, None] - V[None, :], axis=-1).max())
+        _in_range(self.diameter, "simplex diameter", size=True)
 
     @property
     def dim(self):

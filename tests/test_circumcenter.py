@@ -59,6 +59,16 @@ class TestIsCircumcenter:
         near = solve_circumcenter(norm, Simplex(UNIT_TRIANGLE.vertices + 1e3))
         assert near.found and np.allclose(near.center, (1e3, 1e3), atol=1e-9)
 
+    @pytest.mark.parametrize("p, scale", [(3, 1e-110), (200, 1e-3)], ids=["l3", "l200"])
+    def test_underflowed_distances_never_found(self, p, scale):
+        # every |x_k|^p underflows to 0, so every distance, R and the defect
+        # read 0 at the first Newton point; no R = 0 center may certify
+        T = Simplex(random_simplex(3, np.random.default_rng(1)).vertices * scale)
+        assert np.all(Norm.lp(p)(T.vertices - T.vertices.mean(axis=0)) == 0.0)
+        res = solve_circumcenter(Norm.lp(p), T)
+        assert res.status == "not_found" and res.residual == math.inf
+        assert is_circumcenter(Norm.lp(p), T, T.vertices.mean(axis=0)) is None
+
 
 class TestSolver:
     def test_trirectangular(self):

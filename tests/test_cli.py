@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minkcenters import CircumResult, cli, dump_report
 from minkcenters.cli import EXIT_INVALID, EXIT_NO_CENTER, EXIT_OK, main
@@ -208,13 +213,52 @@ class TestCenters:
         dict(SIMPLEX_L1, problem={"simplex": SIMPLEX_L1["problem"]["simplex"],
                                   "polygon": {"vertices": [[1, 0], [0, 1], [-1, 0]],
                                               "center": [0, 0], "radius": 1.0}}),
+        dict(SIMPLEX_L1, norm={"kind": "lp", "p": True}),
+        dict(SIMPLEX_L1, norm={"kind": "lp", "p": "3"}),
+        {"norm": {"kind": "lp", "p": 1},
+         "problem": {"polygon": {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "center": [0, 0], "radius": True}}},
+        dict(SIMPLEX_L1, tolerances={"eps_geom": "1e-9"}),
+        dict(SIMPLEX_L1, problem={"simplex": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}}),
+        dict(SIMPLEX_L1, norm={"kind": "polyhedral",
+                               "vertices": [[math.inf, 0], [-math.inf, 0], [0, 1], [0, -1]]}),
     ], ids=["lp_missing_p", "lp_null_p", "lp_list_p", "null_eps_geom", "null_radius",
             "simplex_missing_vertices", "bool_seed", "number_tolerances", "list_tolerances",
             "zero_tolerances", "false_tolerances", "string_tolerances", "null_tolerances",
-            "simplex_and_polygon"])
+            "simplex_and_polygon", "bool_p", "string_p", "bool_radius", "string_eps_geom",
+            "string_vertices", "infinite_polytope_vertex"])
     def test_malformed_record_invalid(self, tmp_path, capsys, obj):
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("obj, message", [
+        (dict(SIMPLEX_L1, tolerances={"eps_geom": True}), "eps_geom must be a number"),
+        (dict(SIMPLEX_L1, problem={"simplex": {"vertices": [[True, 0], [1, 0], [0, 1]]}}),
+         "vertex coordinates must be a list of lists of numbers"),
+    ], ids=["bool_eps_geom", "bool_in_number_list"])
+    def test_bool_rejected_by_the_input_checker(self, tmp_path, capsys, obj, message):
+        # converted as numbers, True reads as 1 (eps_geom 1, a vertex at
+        # (1, 0)), and the instance fails as "general position violated"
+        assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("obj, argv, message", [
+        ({"norm": {"kind": "euclidean"},
+          "problem": {"simplex": {"vertices": [[0, 0], [1e300, 0], [0, 1e300]]}}},
+         [], "vertex coordinates must be below 1e150 in magnitude"),
+        ({"norm": {"kind": "lp", "p": 3},
+          "problem": {"simplex": {"vertices": [[0, 0], [1e-300, 0], [0, 1e-300]]}}},
+         [], "simplex diameter must be above 1e-150"),
+        (SIMPLEX_L1, ["--assume-center=1e300,0"],
+         "point '1e300,0' coordinates must be below 1e150 in magnitude"),
+    ], ids=["legs_1e300", "legs_1e-300_l3", "assume_center_1e300"])
+    def test_out_of_range_coordinates_invalid(self, tmp_path, capsys, obj, argv, message):
+        # beyond these bounds squared coordinates or distances overflow, or
+        # underflow to a diameter of 0
+        inst = write_instance(tmp_path / "t.json", obj)
+        assert main(["centers", inst] + argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (["--assume-center", "0"], "needs 2 coordinates, not 1"),
@@ -270,6 +314,11 @@ class TestVerify:
         assert code == EXIT_OK
         assert all(l.startswith("PASS polygon/")
                    for l in capsys.readouterr().out.strip().splitlines())
+
+    def test_infinite_tol_invalid(self, capsys):
+        # rejected by the input checker before any suite runs
+        assert main(["verify", "--tol", "inf", "--trials", "2"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: eps_geom must be finite\n"
 
     def test_zero_trials_invalid(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_INVALID
@@ -327,6 +376,83 @@ class TestFigure:
         inst = write_instance(tmp_path / "t.json", SIMPLEX_EUCL)
         assert main(["figure", inst, "--out", str(tmp_path / "f.svg")]) == EXIT_INVALID
         assert "planar" in capsys.readouterr().err
+
+
+FUZZ_SEEDS = [
+    SIMPLEX_EUCL,
+    SIMPLEX_L1,
+    {"norm": {"kind": "lp", "p": 3}, "tolerances": {"eps_geom": 1e-9}, "seed": 3,
+     "problem": {"simplex": {"vertices": [[0, 0], [2, 0.5], [0.3, 1.5]]}}},
+    {"norm": {"kind": "polyhedral", "vertices": [[1, 0], [-1, 0], [0.5, 1], [-0.5, -1]]},
+     "problem": {"simplex": {"vertices": [[0, 0], [1, 0], [0, 1]]}}},
+    {"norm": {"kind": "lp", "p": "inf"},
+     "problem": {"polygon": {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                             "center": [0, 0], "radius": 1, "norm": {"kind": "lp", "p": 1}}}},
+]
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0, -1, True, False,
+               None, "1", "inf", [], [0], [0, 0, 0], [[0, 0]], {}]
+
+
+def _fuzz_paths(node, path=()):
+    """Every path of keys and indices into a JSON value, the root's first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _fuzz_paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_instances(draw):
+    """A valid instance file with one to three fields dropped, retyped, set to
+    a special value, or grown by one entry (a wrong shape or dimension)."""
+    obj = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_fuzz_paths(obj))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        how = draw(st.sampled_from(["drop", "set", "grow"]))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "grow" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return obj
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=fuzzed_instances(), command=st.sampled_from(["centers", "figure"]))
+def test_fuzzed_instance_files(tmp_path_factory, obj, command):
+    # bad input exits 1 with an error line, never a traceback or a warning
+    # (warnings are errors here); every exit-0 report is strict JSON
+    folder = tmp_path_factory.mktemp("fuzz")
+    inst = write_instance(folder / "t.json", obj)
+    argv = ["centers", inst] if command == "centers" else [
+        "figure", inst, "--out", str(folder / "f.svg")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NO_CENTER)
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error: ")
+    if code == EXIT_OK and command == "centers":
+        _strict_json(out.getvalue())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
