@@ -115,7 +115,7 @@ def _m_hyperplane_arrays(T, ridges, bases, directions):
     # one SVD of the stack: the span has rank d-1 unless the direction is
     # parallel to the ridge, and the last right singular vector is the normal
     _, sv, vh = np.linalg.svd(span)
-    keep = sv[:, -1] > 1e-10 * max(1.0, T.diameter)
+    keep = sv[:, -1] > 1e-10 * T.diameter
     return bases[keep], vh[keep, -1]
 
 

@@ -4,33 +4,39 @@ A circumcenter is a point equidistant (in the ambient norm) from every
 vertex.  Every simplex has one under a smooth norm; under a non-smooth norm
 a simplex may have a whole flat set of circumcenters, or none.
 
-Each norm class has one solver path:
+Each norm class proposes candidate centers, and ``solve_circumcenter``
+certifies them in one loop:
 
-* Euclidean (``Norm.euclidean()`` or ``Norm.lp(2)``): an exact linear solve.
+* Euclidean (``Norm.euclidean()`` or ``Norm.lp(2)``): one candidate, the
+  exact linear solve on T's vertices.
 * Polyhedral (l_1, l_inf, polytope unit balls; every non-smooth norm here):
-  an exact combinatorial solve over the vertices of one polyhedron, the
-  epigraph of max_i ||A_i - M||, enumerated with one convex hull (see
-  ``_polyhedral_center``).  It returns the minimum-radius circumcenter, and
-  status "none" decides that no circumcenter exists.
+  one candidate from an exact combinatorial solve over the vertices of one
+  polyhedron, the epigraph of max_i ||A_i - M||, enumerated with one convex
+  hull (see ``_polyhedral_center``).  It is the minimum-radius
+  circumcenter; where none exists the solve answers status "none" before
+  the loop.
 * Smooth l_p: damped Newton on the square bisector system
   ||A_i - M|| = ||A_0 - M|| (i = 1..d), with the norm's analytic gradient
   and each step capped at diameter + |M|, from the exact Euclidean
   circumcenter.  In a strictly convex norm each bisector is a smooth
   hypersurface and M is where d of them meet (Horvath, Acta Math. Hungar.
-  89, 2000).  When Newton fails there, the same Newton runs from one fixed
-  seeded list of starts (see ``_smooth_center``); no smooth solve imports
-  SciPy.  A center always exists in exact arithmetic, but it need not be
-  unique: l_3 simplices with three centers occur from d = 3 on
+  89, 2000).  Only when that candidate fails does the same Newton run from
+  one fixed seeded list of starts (see ``_smooth_candidates``); no smooth
+  solve imports SciPy.  A center always exists in exact arithmetic, but it
+  need not be unique: l_3 simplices with three centers occur from d = 3 on
   (``random_simplex(3, default_rng(132))`` has centers at R/diameter =
   2.912, 2.975 and 3.192).  The solver returns the first center that
   certifies: the one Newton reaches from the Euclidean center, else the one
   reached from the earliest start.  It is not the least-radius center.
 
-Every path accepts a center by one test, ``_certified``, which is also
+The loop accepts a candidate by one test, ``_certified``, which is also
 ``is_circumcenter``'s, so a "found" center always passes is_circumcenter.
-Status "not_found" means that nothing certified at tolerance: a smooth
-solver miss, or (for any norm) a center too far out for floats to resolve
-its equidistance defect.
+``starts_used`` counts the candidates tried: 1 for every Euclidean and
+polyhedral answer (and for "none"), 1 + k for a smooth center reached from
+the k-th start.  Status "not_found" means that no candidate certified at
+tolerance: a smooth solver miss, or (for any norm) a center too far out for
+floats to resolve its equidistance defect; its residual is the least defect
+seen.
 """
 
 from __future__ import annotations
@@ -153,88 +159,58 @@ def _polyhedral_center(norm, T, tol):
 
 
 def solve_circumcenter(norm, T, tol=DEFAULT_TOL):
-    """Locate a circumcenter of T under the given norm.
-
-    Euclidean (p = 2): one exact linear solve.  Polyhedral (non-smooth)
-    norms: the exact minimum-radius center, or status "none" when no center
-    exists.  Other smooth l_p: Newton on the bisector system from the
-    Euclidean center, then from the start list of ``_smooth_center``.  The
-    answer is "found" only where ``_certified`` accepts it on T's own
-    coordinates, else "not_found", so a found center passes is_circumcenter.
-    """
+    """Locate a circumcenter of T under the given norm: the first candidate
+    of its norm class (see the module docstring) that ``_certified`` accepts
+    on T's own coordinates, else "not_found" with the least defect seen."""
     V = T.vertices
-    if norm.smooth and norm.p != 2.0:
-        M, starts_used, (R, residual) = _smooth_center(norm, T, tol)
-        return CircumResult("not_found" if M is None else "found", M, R, residual, starts_used)
+    if norm.p == 2.0:
+        candidates = [_euclidean_center(V)]
+    elif norm.smooth:
+        candidates = _smooth_candidates(norm, T)
+    else:
+        M = _polyhedral_center(norm, T, tol)
+        if M is None:
+            return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
+        candidates = [M]
+    best = np.inf
+    for k, M in enumerate(candidates, start=1):
+        ok, R, residual = _certified(norm, V, M, T.diameter, tol)
+        if ok:
+            return CircumResult("found", M, R, residual, k)
+        best = min(best, residual)
+    return CircumResult("not_found", None, None, best, k)
 
-    M = _euclidean_center(V) if norm.p == 2.0 else _polyhedral_center(norm, T, tol)
-    if M is None:
-        return CircumResult("none", None, None, _equidistance(norm, V, V.mean(axis=0))[1], 1)
-    ok, R, residual = _certified(norm, V, M, T.diameter, tol)
-    if not ok:
-        return CircumResult("not_found", None, None, residual, 1)
-    return CircumResult("found", M, R, residual, 1)
 
+def _smooth_candidates(norm, T):
+    """Newton runs on the bisector system of T under a smooth l_p norm.
 
-def _smooth_center(norm, T, tol):
-    """Circumcenter of T under a smooth l_p norm.
-
-    One local method, ``_newton`` on the bisector system, runs from the
-    Euclidean center M0 and, if no point certifies there, from each of one
-    seeded start list: the centroid, the vertices, then RANDOM_STARTS random
-    points at radii drawn log-uniformly from 0.1 * diameter out to
-    3 * max(diameter, Euclidean circumradius).  Log-uniform radii give each
-    scale the same share of starts, so that starts land near the simplex,
-    where the hard centers lie (about 0.5 to 0.85 diameters from the
-    centroid), however far out the Euclidean center is.
-
-    The solves run on the centred vertices V = T.vertices - c.  Each
-    candidate c + M is certified on T's own coordinates, so a point that
-    rounds out of tolerance there goes on to the next start.  Returns
-    (M, starts tried, (R, defect)) at the first center that certifies, else
-    (None, starts tried, (None, least defect seen)).
+    ``_newton`` runs first from the Euclidean center M0 and then, only if the
+    caller asks for more, from each of one seeded start list: the centroid,
+    the vertices, then RANDOM_STARTS random points at radii drawn
+    log-uniformly from 0.1 * diameter out to 3 * max(diameter, Euclidean
+    circumradius).  Log-uniform radii give each scale the same share of
+    starts, so that starts land near the simplex, where the hard centers lie
+    (about 0.5 to 0.85 diameters from the centroid), however far out the
+    Euclidean center is.  The solves run on the centred vertices
+    V = T.vertices - c, and each yields c + M.
     """
     c = T.vertices.mean(axis=0)
     V, diam, d = T.vertices - c, T.diameter, T.dim
-    F, J = _bisector_system(norm, V)
-
-    def starts():
-        M0 = _euclidean_center(V)
-        yield M0
-        rng = np.random.default_rng(0)
-        lo, hi = 0.1 * diam, 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
-        U = rng.normal(size=(RANDOM_STARTS, d))
-        U *= (lo * (hi / lo) ** rng.uniform(size=(RANDOM_STARTS, 1))
-              / np.linalg.norm(U, axis=1, keepdims=True))
-        yield from np.vstack([np.zeros(d), V, U])
-
-    best = np.inf
-    for k, s in enumerate(starts(), start=1):
-        M = c + _newton(F, J, s, diam)
-        ok, R, res = _certified(norm, T.vertices, M, diam, tol)
-        if ok:
-            return M, k, (R, res)
-        best = min(best, res)
-    return None, k, (None, best)
+    M0 = _euclidean_center(V)
+    yield c + _newton(norm, V, M0, diam)
+    rng = np.random.default_rng(0)
+    lo, hi = 0.1 * diam, 3.0 * max(diam, float(np.linalg.norm(M0 - V[0])))
+    U = rng.normal(size=(RANDOM_STARTS, d))
+    U *= (lo * (hi / lo) ** rng.uniform(size=(RANDOM_STARTS, 1))
+          / np.linalg.norm(U, axis=1, keepdims=True))
+    for s in np.vstack([np.zeros(d), V, U]):
+        yield c + _newton(norm, V, s, diam)
 
 
-def _bisector_system(norm, V):
-    """F_i(M) = ||V_i - M|| - ||V_0 - M|| (i = 1..d) and its Jacobian G_0 - G_i,
-    with G_i the norm's gradient at V_i - M."""
-
-    def F(M):
-        dd = norm(V - M)
-        return dd[1:] - dd[0]
-
-    def J(M):
-        G = norm.gradient(V - M)
-        return G[0] - G[1:]
-
-    return F, J
-
-
-def _newton(F, J, M, diam):
-    """Damped Newton on F(M) = 0 with Armijo backtracking on |F|^2.
+def _newton(norm, V, M, diam):
+    """Damped Newton on the bisector system F_i(M) = ||V_i - M|| - ||V_0 - M||
+    (i = 1..d), with Jacobian G_0 - G_i for G_i the norm's gradient at
+    V_i - M, and Armijo backtracking on |F|^2.
 
     Each step is capped at length diam + |M|, so |M| + diam at most doubles
     per step: a near-singular Jacobian cannot throw M far from the simplex,
@@ -243,14 +219,20 @@ def _newton(F, J, M, diam):
     at the float resolution of distances from M, after NEWTON_STEPS steps,
     or when no step length down to 2^-10 decreases |F|^2 enough.
     """
+
+    def F(M):
+        dd = norm(V - M)
+        return dd[1:] - dd[0]
+
     f = F(M)
     m = f @ f
     for _ in range(NEWTON_STEPS):
         scale = diam + np.linalg.norm(M)
         if not m > (8 * _EPS * scale) ** 2:
             break
+        G = norm.gradient(V - M)
         try:
-            step = np.linalg.solve(J(M), -f)
+            step = np.linalg.solve(G[0] - G[1:], -f)
         except np.linalg.LinAlgError:
             break
         length = np.linalg.norm(step)

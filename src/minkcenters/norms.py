@@ -142,7 +142,7 @@ class Norm:
         _in_range(V, "unit-ball vertex coordinates")
         # central symmetry: every vertex must have its antipode in the set
         for v in V:
-            if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * max(1.0, scale):
+            if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * scale:
                 raise ValueError("unit-ball vertex set is not centrally symmetric")
         try:
             hull = ConvexHull(V)
@@ -151,7 +151,7 @@ class Norm:
         # hull facets: a.x + b <= 0; origin strictly interior iff all b < 0
         A = hull.equations[:, :-1]
         b = hull.equations[:, -1]
-        if np.any(b >= -1e-12 * max(1.0, scale)):
+        if np.any(b >= -1e-12 * scale):
             raise ValueError("origin is not strictly interior to the unit ball")
         self.dim = d
         self.unit_ball_vertices = V
@@ -256,7 +256,10 @@ class Norm:
     @classmethod
     def from_json(cls, obj):
         _require_keys(obj, {"kind", "p", "vertices"}, "norm record", required=("kind",))
-        norm = cls(obj["kind"], p=obj.get("p"), vertices=obj.get("vertices"))
+        p = obj.get("p")
+        if p is not None and not isinstance(p, str):  # JSON's Infinity and 1e999 are no exponent
+            p = float(_reals(p, "lp exponent", 0))
+        norm = cls(obj["kind"], p=p, vertices=obj.get("vertices"))
         _require_keys(obj, cls._FIELDS[norm.kind], "norm record")
         return norm
 

@@ -8,7 +8,7 @@ from minkcenters import (Norm, Simplex, euler_point, full_report, m_hyperplanes,
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
 from minkcenters.simplex import euclid_orthocenter
-from minkcenters.verify import (random_orthocentric_simplex, random_simplex,
+from minkcenters.verify import (REL_TOL, random_orthocentric_simplex, random_simplex,
                                 simplex_claims)
 
 EUCL = Norm.euclidean()
@@ -191,6 +191,21 @@ class TestMHyperplanes:
         V = TRIRECT.vertices
         M = (V[0] + V[1]) / 2 + (V[3] - V[2])
         assert len(self.assert_normals_orthogonal(TRIRECT, M)) == 5
+
+    @pytest.mark.parametrize("norm", [EUCL, Norm.lp(3)], ids=["euclidean", "l3"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_scaled_simplex_keeps_its_planes(self, norm, d):
+        # the rank test reads the least singular value against the diameter
+        # alone: at every scale at least d planes remain, and every claim holds
+        V = random_simplex(d, np.random.default_rng(1)).vertices
+        limits = {"circumcenter_selfconsistent": DEFAULT_TOL.eps_geom,
+                  "m_hyperplane_count": 0.0, "euler_ratios": 1e-10}
+        for scale in 10.0 ** np.arange(-12, 13):
+            T = Simplex(scale * V)
+            M = solve_circumcenter(norm, T).center
+            assert len(m_hyperplanes(T, M)) >= d, scale
+            for claim, residual in simplex_claims(norm, T, M).items():
+                assert residual <= limits.get(claim, REL_TOL), (scale, claim)
 
 
 class TestFullReport:

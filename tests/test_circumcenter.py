@@ -7,7 +7,7 @@ import pytest
 
 from minkcenters import (Norm, Simplex, circumcenter, grid_oracle_circumcenters,
                          is_circumcenter, solve_circumcenter)
-from minkcenters.norms import DEFAULT_TOL, Tolerances
+from minkcenters.norms import Tolerances
 from minkcenters.verify import random_polyhedral_norm, random_simplex
 
 EUCL = Norm.euclidean()
@@ -103,9 +103,9 @@ class TestSolver:
                 assert is_circumcenter(norm, T, res.center) is not None
 
     def test_euclidean_fast_path_matches_optimizer(self):
-        # solve_circumcenter takes the linear solve for Norm.lp(2) too, so call
-        # the smooth solver directly; it starts at the linear solve's answer,
-        # so also run Newton from the centroid, its first fallback start
+        # solve_circumcenter takes the linear solve for Norm.lp(2) too, so run
+        # the smooth solver's Newton directly: from the linear solve's answer,
+        # its first candidate, and from the centroid, its first fallback start
         rng = np.random.default_rng(12)
         l2 = Norm.lp(2)
         for d in range(2, 6):
@@ -113,11 +113,23 @@ class TestSolver:
             fast = solve_circumcenter(EUCL, T)
             c = T.vertices.mean(axis=0)
             V = T.vertices - c
-            slow, _, _ = circumcenter._smooth_center(l2, T, DEFAULT_TOL)
-            newton = c + circumcenter._newton(*circumcenter._bisector_system(l2, V), np.zeros(d),
-                                              T.diameter)
-            for M in (slow, newton):
+            for start in (fast.center - c, np.zeros(d)):
+                M = c + circumcenter._newton(l2, V, start, T.diameter)
                 assert np.allclose(fast.center, M, atol=1e-8 * T.diameter)
+
+    def test_one_candidate_outside_smooth_lp(self):
+        # the Euclidean and polyhedral solves propose one center, and a
+        # decided "none" is answered before the loop
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(40):
+            d = int(rng.integers(2, 4))
+            T = random_simplex(d, rng)
+            for norm in (EUCL, Norm.lp(2), L1, LINF, random_polyhedral_norm(d, rng)):
+                res = solve_circumcenter(norm, T)
+                assert res.starts_used == 1, (norm, res.status)
+                seen.add((norm.smooth, res.status))
+        assert seen >= {(True, "found"), (False, "found"), (False, "none")}
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -549,6 +561,20 @@ class TestSmoothSolver:
         res = solve_circumcenter(norm, T)
         assert res.status == "not_found"
         assert res.starts_used == 2 + len(T.vertices) + circumcenter.RANDOM_STARTS
+
+    def test_first_candidate_draws_no_start_list(self, monkeypatch):
+        # the seeded start list is drawn only after the Newton run from the
+        # Euclidean center fails to certify
+        found, missed = random_simplex(4, np.random.default_rng(0)), Simplex(SEED7_6732)
+
+        def no_start_list(*args, **kwargs):
+            raise AssertionError("start list drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_start_list)
+        res = solve_circumcenter(Norm.lp(3), found)
+        assert res.found and res.starts_used == 1
+        with pytest.raises(AssertionError, match="start list drawn"):
+            solve_circumcenter(Norm.lp(1.5), missed)
 
     def test_non_unique_center(self):
         # three certified l3 centers, R = 3.159, 3.203 and 7.058

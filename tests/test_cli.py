@@ -222,11 +222,13 @@ class TestCenters:
         dict(SIMPLEX_L1, problem={"simplex": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}}),
         dict(SIMPLEX_L1, norm={"kind": "polyhedral",
                                "vertices": [[math.inf, 0], [-math.inf, 0], [0, 1], [0, -1]]}),
+        dict(SIMPLEX_L1, norm={"kind": "polyhedral",
+                               "vertices": [[1e-10, 0], [0, 1e-10], [-1e-10, 0], [0, -3e-10]]}),
     ], ids=["lp_missing_p", "lp_null_p", "lp_list_p", "null_eps_geom", "null_radius",
             "simplex_missing_vertices", "bool_seed", "number_tolerances", "list_tolerances",
             "zero_tolerances", "false_tolerances", "string_tolerances", "null_tolerances",
             "simplex_and_polygon", "bool_p", "string_p", "bool_radius", "string_eps_geom",
-            "string_vertices", "infinite_polytope_vertex"])
+            "string_vertices", "infinite_polytope_vertex", "tiny_asymmetric_polytope"])
     def test_malformed_record_invalid(self, tmp_path, capsys, obj):
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
@@ -283,6 +285,19 @@ class TestCenters:
         assert main(["centers", write_instance(tmp_path / "t.json", obj)]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("p", ["Infinity", "-Infinity", "NaN", "1e999"])
+    @pytest.mark.parametrize("command", ["centers", "figure"])
+    def test_non_finite_exponent_invalid(self, tmp_path, capsys, command, p):
+        # json reads each as a float; only the string "inf" names l_inf
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(SIMPLEX_L1).replace('"p": 1', f'"p": {p}'))
+        out = tmp_path / "f.svg"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "figure" else [])
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == "error: lp exponent must be finite\n" and captured.out == ""
+        assert not out.exists()
 
     def test_polygon_center_shape_invalid(self, tmp_path, capsys):
         polygon = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "center": [0, 0, 0],

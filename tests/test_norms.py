@@ -26,8 +26,9 @@ class TestEval:
         assert Norm.euclidean()((3, 4)) == pytest.approx(5)
 
     def test_cross_polytope_matches_l1(self):
-        cross = Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        assert cross((3, -4)) == pytest.approx(7)
+        for scale in (1e-12, 1.0, 1e12):  # the polytope checks are scale-free
+            cross = Norm.polyhedral(scale * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+            assert cross((3, -4)) == pytest.approx(7 / scale, rel=1e-12)
 
     def test_cube_matches_linf(self):
         cube = Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -60,8 +61,11 @@ class TestEval:
             Norm.lp(0.5)
 
     def test_asymmetric_ball_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            Norm.polyhedral([(1, 0), (-2, 0), (0, 1), (0, -1)])
+        # the second would give ||(0, 1)|| = 1e10 and ||(0, -1)|| = 3.3e9
+        for ball in ([(1, 0), (-2, 0), (0, 1), (0, -1)],
+                     [(1e-10, 0), (0, 1e-10), (-1e-10, 0), (0, -3e-10)]):
+            with pytest.raises(ValueError, match="symmetric"):
+                Norm.polyhedral(ball)
 
     def test_flat_ball_rejected(self):
         with pytest.raises(ValueError):
@@ -73,6 +77,14 @@ class TestEval:
             again = Norm.from_json(norm.to_json())
             v = np.array([0.3, -1.7])
             assert again(v) == pytest.approx(norm(v))
+
+    def test_infinite_exponent_only_by_name(self):
+        # json reads Infinity and 1e999 as the float inf: no exponent
+        for norm in (Norm.lp(math.inf), Norm.from_json({"kind": "lp", "p": "inf"})):
+            assert norm((3, -4)) == 4
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="lp exponent must be finite"):
+                Norm.from_json({"kind": "lp", "p": p})
 
     def test_unknown_norm_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
