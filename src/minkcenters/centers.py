@@ -16,6 +16,7 @@ sphere radii require M to be a certified circumcenter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .affine import Hyperplane, Line
 from .circumcenter import is_circumcenter, solve_circumcenter
 from .norms import DEFAULT_TOL
+from .simplex import _indices
 
 __all__ = [
     "CentersReport",
@@ -58,17 +60,12 @@ def euler_point(V, M, k):
     """M + sum_i (V_i - M) / k over the rows V_i of V (the module docstring
     lists the centers each k gives).  Leading axes of V are batch axes."""
     M = np.asarray(M, dtype=float)
-    return M + np.sum(np.asarray(V, dtype=float) - M, axis=-2) / k
+    return M + (np.asarray(V, dtype=float) - M).sum(axis=-2) / k
 
 
-def _vertex_deleted(V, drop=None):
-    """(m, n-k, dim) array whose entry j is V without the k rows drop[j], the
-    rest in order; by default drop[i] = [i], so entry i is V without row i."""
-    n = len(V)
-    drop = np.arange(n)[:, None] if drop is None else drop
-    keep = np.ones((len(drop), n), dtype=bool)
-    keep[np.arange(len(drop))[:, None], drop] = False
-    return V[np.nonzero(keep)[1].reshape(len(drop), -1)]
+def _vertex_deleted(V):
+    """(n, n-1, dim) array whose entry i is V without row i, the rest in order."""
+    return V[_indices(len(V)).facets]
 
 
 def monge_point(T, M):
@@ -82,10 +79,10 @@ def _monge_pairs(T, M, tol):
     without the pair whose edge midpoint is M."""
     M = np.asarray(M, dtype=float)
     V, d = T.vertices, T.dim
-    edges = np.transpose(np.triu_indices(d + 1, 1))
-    directions = euler_point(V[edges], M, 2) - M
+    index = _indices(d + 1)
+    directions = euler_point(V[index.edges], M, 2) - M
     keep = np.linalg.norm(directions, axis=1) > tol.eps_geom * T.diameter
-    ridges = _vertex_deleted(V, edges[keep])
+    ridges = V[index.ridges[keep]]
     return ridges, euler_point(ridges, M, d - 1), directions[keep]
 
 
@@ -96,7 +93,7 @@ def monge_lines(T, M, tol=DEFAULT_TOL):
     Pairs where M coincides with the edge midpoint are skipped (at most one).
     """
     _, bases, directions = _monge_pairs(T, M, tol)
-    return [Line(base, direction) for base, direction in zip(bases, directions)]
+    return Line.rows(bases, directions)
 
 
 def m_hyperplanes(T, M, tol=DEFAULT_TOL):
@@ -104,8 +101,7 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     the opposite edge midpoint.  Pairs with M at the midpoint, or with that
     line parallel to F, are skipped; at least d hyperplanes always remain.
     """
-    bases, normals = _m_hyperplane_arrays(T, *_monge_pairs(T, M, tol))
-    return [Hyperplane(base, normal) for base, normal in zip(bases, normals)]
+    return Hyperplane.rows(*_m_hyperplane_arrays(T, *_monge_pairs(T, M, tol)))
 
 
 def _m_hyperplane_arrays(T, ridges, bases, directions):
@@ -117,11 +113,6 @@ def _m_hyperplane_arrays(T, ridges, bases, directions):
     _, sv, vh = np.linalg.svd(span)
     keep = sv[:, -1] > 1e-10 * T.diameter
     return bases[keep], vh[keep, -1]
-
-
-def _affine_ratio(M, X, s):
-    """Parameter t with X = M + t * s (s the Euler direction)."""
-    return float((np.asarray(X) - M) @ s / (s @ s))
 
 
 def full_report(norm, T, M=None, tol=DEFAULT_TOL):
@@ -148,34 +139,33 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
 def _report(T, M, R, tol):
     """full_report of T at M, already certified as a circumcenter of radius R."""
     M = np.asarray(M, dtype=float)
-    V = T.vertices
-    d = T.dim
-    G = euler_point(V, M, d + 1)
-    F_M = euler_point(V, M, d)
-    N_M = euler_point(V, M, d - 1)
-    P_M = euler_point(V, M, 1)
+    V, d = T.vertices, T.dim
+    D = V - M
+    S = D.sum(axis=0)  # euler_point(V, M, k) = M + S / k
+    G, F_M, N_M, P_M = M + S / (d + 1), M + S / d, M + S / (d - 1), M + S
     s = P_M - M
-    collapsed = bool(np.linalg.norm(s) <= tol.eps_geom * T.diameter)
+    collapsed = bool(math.sqrt(s.dot(s)) <= tol.eps_geom * T.diameter)
     euler = None if collapsed else Line(M, s)
 
     ratios = {}
     if not collapsed:
-        # expected parameters of each center along M + t * s
-        ratios["G_on_MP"] = abs(_affine_ratio(M, G, s) - 1.0 / (d + 1))
-        ratios["F_on_MP"] = abs(_affine_ratio(M, F_M, s) - 1.0 / d)
-        if d >= 3:
-            ratios["N_on_MP"] = abs(_affine_ratio(M, N_M, s) - 1.0 / (d - 1))
-        else:
-            ratios["N_on_MP"] = "coincident"  # d=2: N_M = P_M, ratio 1:(d-2) degenerates
-        ratios["G_on_MN"] = abs(_affine_ratio(M, G, s) / (1.0 / (d - 1)) - (d - 1) / (d + 1))
+        # parameters t of G, F_M and N_M along M + t * s, against their
+        # expected values
+        ss = s @ s
+        t_G, t_F, t_N = (float((X - M) @ s / ss) for X in (G, F_M, N_M))
+        ratios["G_on_MP"] = abs(t_G - 1.0 / (d + 1))
+        ratios["F_on_MP"] = abs(t_F - 1.0 / d)
+        # d=2: N_M = P_M, ratio 1:(d-2) degenerates
+        ratios["N_on_MP"] = abs(t_N - 1.0 / (d - 1)) if d >= 3 else "coincident"
+        ratios["G_on_MN"] = abs(t_G / (1.0 / (d - 1)) - (d - 1) / (d + 1))
         # F_M divides [N_M, M] internally in the ratio 1:(d-1)
-        t_F = (N_M - F_M) @ s / (s @ s)
-        ratios["F_on_NM"] = abs(t_F / (1.0 / (d - 1)) - 1.0 / d)
+        t_FN = (N_M - F_M) @ s / ss
+        ratios["F_on_NM"] = abs(t_FN / (1.0 / (d - 1)) - 1.0 / d)
 
     return CentersReport(
         M=M, R=R, G=G, N_M=N_M, P_M=P_M, F_M=F_M,
         feuerbach_radius=R / d, euler_line=euler, collapsed=collapsed,
         facet_centroids=list(euler_point(_vertex_deleted(V), M, d)),
-        division_points=list(F_M + (V - M) / d),
+        division_points=list(F_M + D / d),
         ratio_residuals=ratios,
     )

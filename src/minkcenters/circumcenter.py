@@ -41,6 +41,7 @@ seen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle
 NEWTON_STEPS = 50
 RANDOM_STARTS = 64  # seeded smooth starts after the centroid and the vertices
 _EPS = np.finfo(float).eps
+_BACKTRACK = tuple(0.5 ** k for k in range(11))  # Newton step lengths tried, longest first
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class CircumResult:
 def _equidistance(norm, V, M):
     """Mean vertex distance R and equidistance defect max_i | ||V_i - M|| - R |."""
     dd = norm(V - np.asarray(M, dtype=float))
-    R = float(dd.mean())
+    R = float(dd.sum() / len(dd))
     return R, float(np.abs(dd - R).max())
 
 
@@ -210,7 +212,8 @@ def _smooth_candidates(norm, T):
 def _newton(norm, V, M, diam):
     """Damped Newton on the bisector system F_i(M) = ||V_i - M|| - ||V_0 - M||
     (i = 1..d), with Jacobian G_0 - G_i for G_i the norm's gradient at
-    V_i - M, and Armijo backtracking on |F|^2.
+    V_i - M, and Armijo backtracking on |F|^2.  The gradients at an accepted
+    point reuse the distances ||V_i - M|| that F evaluated there.
 
     Each step is capped at length diam + |M|, so |M| + diam at most doubles
     per step: a near-singular Jacobian cannot throw M far from the simplex,
@@ -221,32 +224,34 @@ def _newton(norm, V, M, diam):
     """
 
     def F(M):
-        dd = norm(V - M)
-        return dd[1:] - dd[0]
+        """(V - M, its norms, the bisector residuals)."""
+        D = V - M
+        dd = norm(D)
+        return D, dd, dd[1:] - dd[0]
 
-    f = F(M)
+    D, dd, f = F(M)
     m = f @ f
     for _ in range(NEWTON_STEPS):
-        scale = diam + np.linalg.norm(M)
+        scale = diam + math.sqrt(M.dot(M))
         if not m > (8 * _EPS * scale) ** 2:
             break
-        G = norm.gradient(V - M)
+        G = norm.gradient(D, dd)
         try:
             step = np.linalg.solve(G[0] - G[1:], -f)
         except np.linalg.LinAlgError:
             break
-        length = np.linalg.norm(step)
+        length = math.sqrt(step.dot(step))
         if length > scale:
             step *= scale / length
-        for t in 0.5 ** np.arange(11):
+        for t in _BACKTRACK:
             trial = M + t * step
-            ft = F(trial)
+            Dt, ddt, ft = F(trial)
             mt = ft @ ft
             if mt <= (1.0 - 1e-4 * t) * m:
                 break
         else:
             break
-        M, f, m = trial, ft, mt
+        M, D, dd, f, m = trial, Dt, ddt, ft, mt
     return M
 
 

@@ -99,6 +99,7 @@ class Norm:
     ``(..., d)`` array.
     """
 
+    __slots__ = ("kind", "p", "dim", "_facets", "unit_ball_vertices")
     _FIELDS = {"euclidean": {"kind"}, "lp": {"kind", "p"}, "polyhedral": {"kind", "vertices"}}
 
     def __init__(self, kind, p=None, vertices=None):
@@ -204,15 +205,17 @@ class Norm:
         F = self.facets(len(x))
         return F[F @ x >= nx - slack]
 
-    def gradient(self, X):
+    def gradient(self, X, norms=None):
         """Gradient sign(x) |x / ||x|| |^(p-1) of a smooth norm at each row of
         an (n, d) array, as rows (x / ||x|| for the Euclidean norm, p = 2).
         A zero row gets a zero gradient, which is a subgradient there.
+        norms, when given, holds the norm of each row, self(X), so that a
+        caller who has evaluated it does not evaluate it again.
         """
         if not self.smooth:
             raise ValueError(f"{self!r} is not smooth and has no gradient")
         X = np.asarray(X, dtype=float)
-        n = self(X)[:, None]
+        n = (self(X) if norms is None else norms)[:, None]
         U = np.divide(X, n, out=np.zeros_like(X), where=n > 0)
         return np.sign(U) * np.abs(U) ** (self.p - 1.0)
 

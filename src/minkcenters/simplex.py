@@ -1,8 +1,11 @@
-"""Simplices in general position, and the Euclidean orthocentricity
-cross-check behind the Monge point's independent oracle.
+"""Simplices in general position, the index tables of their edges, ridges
+and facets, and the Euclidean orthocentricity cross-check behind the Monge
+point's independent oracle.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -13,6 +16,8 @@ __all__ = ["Simplex", "euclid_orthocenter"]
 
 class Simplex:
     """d+1 points in general position in R^d."""
+
+    __slots__ = ("vertices", "diameter")
 
     def __init__(self, vertices, tol=DEFAULT_TOL):
         V = _reals(vertices, "vertex coordinates", 2)
@@ -37,6 +42,48 @@ class Simplex:
         return f"Simplex(d={self.dim})"
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _rows_without(n, drop):
+    """(m, n-k) array whose row j lists range(n) without the k entries drop[j]."""
+    keep = np.ones((len(drop), n), dtype=bool)
+    keep[np.arange(len(drop))[:, None], drop] = False
+    return _read_only(np.nonzero(keep)[1].reshape(len(drop), -1))
+
+
+class _IndexTable:
+    """Index arrays of an n-vertex simplex, each built on first use (a
+    polygon reads only its facets) and read-only, as ``_indices`` shares one
+    table per n among all callers."""
+
+    def __init__(self, n):
+        self.n = n
+
+    @functools.cached_property
+    def edges(self):
+        """(C(n, 2), 2) vertex pairs in lexicographic order."""
+        return _read_only(np.transpose(np.triu_indices(self.n, 1)))
+
+    @functools.cached_property
+    def ridges(self):
+        """(C(n, 2), n-2): row e lists the vertices off edge e, in order."""
+        return _rows_without(self.n, self.edges)
+
+    @functools.cached_property
+    def facets(self):
+        """(n, n-1): row i lists the vertices other than i, in order."""
+        return _rows_without(self.n, np.arange(self.n)[:, None])
+
+
+@functools.lru_cache(maxsize=32)
+def _indices(n):
+    """The _IndexTable of n vertices."""
+    return _IndexTable(n)
+
+
 def euclid_orthocenter(T, tol=DEFAULT_TOL):
     """Altitude intersection of T, or None when T is not orthocentric.
 
@@ -48,7 +95,7 @@ def euclid_orthocenter(T, tol=DEFAULT_TOL):
     the Monge point.
     """
     n = T.dim + 1
-    edges = np.transpose(np.triu_indices(n, 1))
+    edges = _indices(n).edges
     E = T.vertices[edges[:, 1]] - T.vertices[edges[:, 0]]
     disjoint = (edges[:, None, :, None] != edges[None, :, None, :]).all(axis=(2, 3))
     if not (np.abs(E @ E.T)[disjoint] <= tol.eps_geom * T.diameter ** 2).all():

@@ -55,3 +55,31 @@ def test_hyperplane_unit_normal():
         Hyperplane((0, 1), (0, 0))
     with pytest.raises(ValueError):
         Hyperplane((0, 1), (1, 0, 0))
+
+
+def test_rows_check_the_whole_batch():
+    bases, normals = np.zeros((4, 3)), np.ones((4, 3))
+    assert len(Line.rows(bases, normals)) == len(Hyperplane.rows(bases, normals)) == 4
+    for i in range(4):
+        zero = normals.copy()
+        zero[i] = 0.0
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            Line.rows(bases, zero)
+        with pytest.raises(ValueError, match="normal must be nonzero"):
+            Hyperplane.rows(bases, zero)
+    for cls in (Line, Hyperplane):
+        with pytest.raises(ValueError, match="one shape"):
+            cls.rows(bases, normals[:3])
+        with pytest.raises(ValueError, match="one shape"):
+            cls.rows(bases[0], normals[0])
+
+
+def test_hyperplane_rows_match_single_hyperplanes():
+    rng = np.random.default_rng(1)
+    bases, normals = rng.normal(size=(2, 7, 5))
+    for h, b, n in zip(Hyperplane.rows(bases, normals), bases, normals):
+        one = Hyperplane(b, n)
+        assert np.array_equal(h.base, b) and np.array_equal(one.base, b)
+        # each row divided by its vector norm, as a single hyperplane's normal is
+        assert np.array_equal(h.normal(), n / np.linalg.norm(n))
+        assert np.array_equal(one.normal(), n / np.linalg.norm(n))

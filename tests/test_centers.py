@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from minkcenters import (Norm, Simplex, euler_point, full_report, m_hyperplanes,
-                         monge_lines, monge_point, solve_circumcenter)
+from minkcenters import (Hyperplane, Line, Norm, Simplex, euler_point, full_report,
+                         m_hyperplanes, monge_lines, monge_point, solve_circumcenter)
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
-from minkcenters.simplex import euclid_orthocenter
+from minkcenters.simplex import _indices, euclid_orthocenter
 from minkcenters.verify import (REL_TOL, random_orthocentric_simplex, random_simplex,
                                 simplex_claims)
 
@@ -138,6 +139,59 @@ class TestMongeLines:
         G = centroid(TRIRECT)
         for l in monge_lines(TRIRECT, G):
             assert l.distance(G) <= 1e-9
+
+
+class TestRowsMatchPerRowReference:
+    """monge_lines and m_hyperplanes split batch arrays into rows checked once
+    per batch; a per-row construction with the checked constructors, one
+    edge at a time, gives the same objects."""
+
+    @staticmethod
+    def reference(T, M):
+        V, d = T.vertices, T.dim
+        lines, planes = [], []
+        for edge in itertools.combinations(range(d + 1), 2):
+            direction = euler_point(V[list(edge)], M, 2) - M
+            if not np.linalg.norm(direction) > DEFAULT_TOL.eps_geom * T.diameter:
+                continue
+            ridge = V[[i for i in range(d + 1) if i not in edge]]
+            base = euler_point(ridge, M, d - 1)
+            lines.append(Line(base, direction))
+            _, sv, vh = np.linalg.svd(np.vstack([ridge[1:] - ridge[0], direction]))
+            if sv[-1] > 1e-10 * T.diameter:
+                planes.append(Hyperplane(base, vh[-1]))
+        return lines, planes
+
+    @pytest.mark.parametrize("norm", [EUCL, Norm.lp(3)], ids=["euclidean", "l3"])
+    def test_same_rows_in_the_same_order(self, norm):
+        rng = np.random.default_rng(20)
+        for d in range(2, 9):
+            for _ in range(5):
+                T = random_simplex(d, rng)
+                M = solve_circumcenter(norm, T).center
+                ref_lines, ref_planes = self.reference(T, M)
+                lines, planes = monge_lines(T, M), m_hyperplanes(T, M)
+                assert type(lines) is list and type(planes) is list
+                assert len(lines) == len(ref_lines) and len(planes) == len(ref_planes) >= d
+                for line, ref in zip(lines, ref_lines):
+                    assert type(line) is Line
+                    assert line.base.tobytes() == ref.base.tobytes()
+                    assert line.direction.tobytes() == ref.direction.tobytes()
+                for plane, ref in zip(planes, ref_planes):
+                    assert type(plane) is Hyperplane
+                    assert plane.base.tobytes() == ref.base.tobytes()
+                    assert np.abs(plane.normal() - ref.normal()).max() <= 1e-15
+
+    def test_index_table_is_read_only(self):
+        table = _indices(5)
+        assert _indices(5) is table
+        for rows in (table.edges, table.ridges, table.facets):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1
+        assert table.edges.tolist() == list(map(list, itertools.combinations(range(5), 2)))
+        assert all(set(ridge) | set(edge) == set(range(5))
+                   for ridge, edge in zip(table.ridges.tolist(), table.edges.tolist()))
+        assert table.facets.tolist() == [[j for j in range(5) if j != i] for i in range(5)]
 
 
 class TestMHyperplanes:

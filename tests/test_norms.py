@@ -130,6 +130,14 @@ class TestGradient:
         assert np.array_equal(G[0], np.zeros(3))
         assert np.all(np.isfinite(G))
 
+    @pytest.mark.parametrize("norm", [Norm.lp(1.2), Norm.lp(1.5), Norm.lp(2), Norm.euclidean(),
+                                      Norm.lp(3), Norm.lp(4)])
+    def test_supplied_norms_give_the_same_gradient(self, norm):
+        # Newton passes the norms it has just evaluated at the same rows
+        X = np.random.default_rng(2).normal(size=(9, 4))
+        X[[0, 5]] = 0.0
+        assert np.array_equal(norm.gradient(X, norm(X)), norm.gradient(X))
+
     def test_subgradients_read_the_gradient(self):
         x = np.array([0.3, -1.2, 2.0])
         for norm in (Norm.lp(1.5), Norm.lp(3), Norm.euclidean()):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minkcenters import Simplex, euclid_orthocenter, euler_point
+from minkcenters import Norm, Simplex, euclid_orthocenter, euler_point
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
 from minkcenters.verify import random_simplex
@@ -142,3 +142,11 @@ class TestOrthocenter:
         for seed in (9, 11):
             rng = np.random.default_rng(seed)
             assert euclid_orthocenter(random_simplex(3, rng)) is None
+
+
+@pytest.mark.parametrize("obj", [TRIRECT, Norm.euclidean(), Norm.lp(3),
+                                 Norm.polyhedral([[1, 0], [0, 1], [-1, 0], [0, -1]])],
+                         ids=["simplex", "euclidean", "l3", "polyhedral"])
+def test_no_instance_dict(obj):
+    # a caller that keeps many instances pays for their arrays only
+    assert not hasattr(obj, "__dict__")
