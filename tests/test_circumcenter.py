@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ LINF = Norm.lp(math.inf)
 
 UNIT_TRIANGLE = Simplex([[1, 0], [0, 1], [-1, 0]])
 TRIRECT = Simplex([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]])
+UNIT_TETRAHEDRON = Simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 class TestIsCircumcenter:
@@ -200,9 +202,33 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="grid too large"):
             grid_oracle_circumcenters(EUCL, TRIRECT, 1e-4)
 
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            grid_oracle_circumcenters(EUCL, UNIT_TRIANGLE, 0)
+    @pytest.mark.parametrize("step", [1e-6, 1e-7, 5e-324])
+    def test_grid_cap_counts_before_building(self, step):
+        # 3.8e6 or 3.8e7 cells a side: at 1e-6 the axes alone would take
+        # 92 MB, at 1e-7 the cell count overflows int64, and at the least
+        # float the cells per side overflow the float range
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid too large"):
+                grid_oracle_circumcenters(EUCL, UNIT_TETRAHEDRON, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("T, step", [(UNIT_TRIANGLE, 0.25), (UNIT_TRIANGLE, 0.013),
+                                         (TRIRECT, 0.1), (TRIRECT, 2 / 7)])
+    def test_grid_cap_counts_the_built_axes(self, T, step):
+        # UNIT_TRIANGLE at 0.25 has a whole number of steps per axis
+        _, cells = row_major_oracle(EUCL, T, step)
+        grid_oracle_circumcenters(EUCL, T, step, cell_cap=cells)
+        with pytest.raises(ValueError, match=f"grid too large: {cells} cells"):
+            grid_oracle_circumcenters(EUCL, T, step, cell_cap=cells - 1)
+
+    @pytest.mark.parametrize("step", [0, -1, math.nan, math.inf])
+    def test_bad_step(self, step):
+        with pytest.raises(ValueError, match="grid_step must be finite and positive"):
+            grid_oracle_circumcenters(EUCL, UNIT_TRIANGLE, step)
 
 
 def row_major_oracle(norm, T, step):
@@ -229,26 +255,56 @@ def row_major_oracle(norm, T, step):
 
 
 class TestGridOracleLayout:
-    """The coordinate-major oracle returns the row-major oracle's clusters,
-    with the default chunk and with many chunks."""
+    """The blocked coordinate-major oracle returns the row-major oracle's
+    clusters on a grid smaller than one block, on a grid of several blocks
+    with a ragged last block, and on grids without a cluster."""
 
-    @pytest.mark.parametrize("d, steps", [(2, 60), (3, 12)])
-    @pytest.mark.parametrize("name", ["euclidean", "l4", "linf", "l1", "polytope"])
-    def test_matches_row_major_reference(self, name, d, steps):
+    NORMS = ["euclidean", "l4", "linf", "l1", "polytope"]
+
+    @staticmethod
+    def check(norm, T, step):
+        """The row-major reference's clusters and cell count, after checking
+        that the oracle returns the same clusters."""
+        expected, cells = row_major_oracle(norm, T, step)
+        clusters = grid_oracle_circumcenters(norm, T, step)
+        assert len(clusters) == len(expected)
+        for (p, r), (q, s) in zip(clusters, expected):
+            assert np.array_equal(p, q)
+            assert abs(r - s) <= 1e-12 * s
+        return expected, cells
+
+    @staticmethod
+    def draw(name, d):
         rng = np.random.default_rng(20 + d)
         norm = {"euclidean": EUCL, "l4": Norm.lp(4), "linf": LINF, "l1": L1,
                 "polytope": random_polyhedral_norm(d, rng)}[name]
-        T = random_simplex(d, rng)
-        step = T.diameter / steps
-        expected, cells = row_major_oracle(norm, T, step)
+        return norm, random_simplex(d, rng)
+
+    @pytest.mark.parametrize("d, steps", [(2, 60), (3, 12)])
+    @pytest.mark.parametrize("name", NORMS)
+    def test_matches_row_major_reference(self, name, d, steps):
+        # several blocks, the last one ragged
+        norm, T = self.draw(name, d)
+        expected, cells = self.check(norm, T, T.diameter / steps)
         assert expected  # every draw here has centers
-        # cell_cap = cells splits the grid into 10 (d + 1) chunks
-        for cap in (10_000_000, cells):
-            clusters = grid_oracle_circumcenters(norm, T, step, cell_cap=cap)
-            assert len(clusters) == len(expected)
-            for (p, r), (q, s) in zip(clusters, expected):
-                assert np.array_equal(p, q)
-                assert abs(r - s) <= 1e-12 * s
+        assert cells > 2 * circumcenter._BLOCK and cells % circumcenter._BLOCK
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", NORMS)
+    def test_one_part_block(self, name, d):
+        # a box side is at most 3 diameters, so it holds at most 3 * steps + 2 cells
+        norm, T = self.draw(name, d)
+        steps = int(circumcenter._BLOCK ** (1 / d) / 3) - 1
+        expected, cells = self.check(norm, T, T.diameter / steps)
+        assert expected and cells < circumcenter._BLOCK
+
+    @pytest.mark.parametrize("norm, T, step", [
+        (L1, Simplex([[0.13, -0.13], [0.64, 0.1], [-0.54, 0.36]]), 0.02),  # no center
+        (EUCL, Simplex([[0, 0], [1, 0], [0.5, 0.01]]), 1 / 60),  # center 12.5 diameters out
+    ])
+    def test_no_cluster(self, norm, T, step):
+        expected, cells = self.check(norm, T, step)
+        assert expected == [] and cells > 2 * circumcenter._BLOCK
 
 
 def oracle_radius(norm, T, eps=1e-9):
