@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .affine import Hyperplane, Line
 from .centers import (CentersReport, euler_point, full_report, m_hyperplanes, monge_lines,
                       monge_point)
-from .circumcenter import (CircumResult, grid_oracle_circumcenters,
+from .circumcenter import (CircumResult, NoCenterError, grid_oracle_circumcenters,
                            is_circumcenter, solve_circumcenter)
 from .figures import SHOW_MODES, render_figure
 from .instances import (Instance, InstanceError, dump_report, load_instance,
@@ -26,7 +26,7 @@ __all__ = [
     "Norm", "Tolerances", "is_isosceles_orthogonal", "is_birkhoff_orthogonal",
     "Line", "Hyperplane",
     "Simplex", "euclid_orthocenter",
-    "CircumResult", "is_circumcenter", "solve_circumcenter",
+    "CircumResult", "NoCenterError", "is_circumcenter", "solve_circumcenter",
     "grid_oracle_circumcenters",
     "CentersReport", "euler_point", "monge_point",
     "monge_lines", "m_hyperplanes", "full_report",

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import Hyperplane, Line
-from .circumcenter import is_circumcenter, solve_circumcenter
+from .circumcenter import NoCenterError, is_circumcenter, solve_circumcenter
 from .norms import DEFAULT_TOL
-from .simplex import _indices
+from .simplex import _edges, _facets, _ridges
 
 __all__ = [
     "CentersReport",
@@ -63,11 +63,6 @@ def euler_point(V, M, k):
     return M + (np.asarray(V, dtype=float) - M).sum(axis=-2) / k
 
 
-def _vertex_deleted(V):
-    """(n, n-1, dim) array whose entry i is V without row i, the rest in order."""
-    return V[_indices(len(V)).facets]
-
-
 def monge_point(T, M):
     """N_M = euler_point(vertices, M, d-1); works for any reference point M."""
     return euler_point(T.vertices, M, T.dim - 1)
@@ -79,10 +74,9 @@ def _monge_pairs(T, M, tol):
     without the pair whose edge midpoint is M."""
     M = np.asarray(M, dtype=float)
     V, d = T.vertices, T.dim
-    index = _indices(d + 1)
-    directions = euler_point(V[index.edges], M, 2) - M
+    directions = euler_point(V[_edges(d + 1)], M, 2) - M
     keep = np.linalg.norm(directions, axis=1) > tol.eps_geom * T.diameter
-    ridges = V[index.ridges[keep]]
+    ridges = V[_ridges(d + 1)[keep]]
     return ridges, euler_point(ridges, M, d - 1), directions[keep]
 
 
@@ -93,7 +87,7 @@ def monge_lines(T, M, tol=DEFAULT_TOL):
     Pairs where M coincides with the edge midpoint are skipped (at most one).
     """
     _, bases, directions = _monge_pairs(T, M, tol)
-    return Line.rows(bases, directions)
+    return Line(bases, directions).rows()
 
 
 def m_hyperplanes(T, M, tol=DEFAULT_TOL):
@@ -101,7 +95,7 @@ def m_hyperplanes(T, M, tol=DEFAULT_TOL):
     the opposite edge midpoint.  Pairs with M at the midpoint, or with that
     line parallel to F, are skipped; at least d hyperplanes always remain.
     """
-    return Hyperplane.rows(*_m_hyperplane_arrays(T, *_monge_pairs(T, M, tol)))
+    return Hyperplane(*_m_hyperplane_arrays(T, *_monge_pairs(T, M, tol))).rows()
 
 
 def _m_hyperplane_arrays(T, ridges, bases, directions):
@@ -119,20 +113,18 @@ def full_report(norm, T, M=None, tol=DEFAULT_TOL):
     """Compute all centers of T and validate the Euler-line division ratios.
 
     When M is omitted the circumcenter solver provides it; a given M must be
-    a circumcenter at tolerance (ValueError otherwise).  Ratios are checked
-    through affine parameters along the Euler line (norm-independent), and
-    the report records their residuals.  The 2(d+1) Feuerbach incidence
+    a circumcenter at tolerance.  NoCenterError says when there is none.
+    Ratios are checked through affine parameters along the Euler line
+    (norm-independent), and the report records their residuals.  The 2(d+1) Feuerbach incidence
     points are the facet centroids G_i and the division points
     L^M_i = F_M + (A_i - M)/d, which divide [N_M, A_i] in the ratio 1:(d-1).
     """
     if M is None:
-        result = solve_circumcenter(norm, T, tol)
-        M, R = result.center, result.radius  # both None unless found
+        M, R = solve_circumcenter(norm, T, tol).certified()
     else:
         R = is_circumcenter(norm, T, M, tol)
-    if R is None:
-        raise ValueError("no circumcenter found at tolerance" if M is None
-                         else "M is not a circumcenter at tolerance")
+        if R is None:
+            raise NoCenterError("M is not a circumcenter at tolerance")
     return _report(T, M, R, tol)
 
 
@@ -165,7 +157,7 @@ def _report(T, M, R, tol):
     return CentersReport(
         M=M, R=R, G=G, N_M=N_M, P_M=P_M, F_M=F_M,
         feuerbach_radius=R / d, euler_line=euler, collapsed=collapsed,
-        facet_centroids=list(euler_point(_vertex_deleted(V), M, d)),
+        facet_centroids=list(euler_point(V[_facets(d + 1)], M, d)),
         division_points=list(F_M + D / d),
         ratio_residuals=ratios,
     )

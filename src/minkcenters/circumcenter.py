@@ -48,13 +48,19 @@ import numpy as np
 
 from .norms import DEFAULT_TOL
 
-__all__ = ["CircumResult", "is_circumcenter", "solve_circumcenter", "grid_oracle_circumcenters"]
+__all__ = ["CircumResult", "NoCenterError", "is_circumcenter", "solve_circumcenter",
+           "grid_oracle_circumcenters"]
 
 NEWTON_STEPS = 50
 RANDOM_STARTS = 64  # seeded smooth starts after the centroid and the vertices
 _EPS = np.finfo(float).eps
 _BACKTRACK = tuple(0.5 ** k for k in range(11))  # Newton step lengths tried, longest first
 _BLOCK = 4096  # grid oracle cells per block, sized to the L2 cache
+
+
+class NoCenterError(ValueError):
+    """No circumcenter to build centers on (CLI exit code 2); the message
+    says why."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,14 @@ class CircumResult:
     @property
     def found(self):
         return self.status == "found"
+
+    def certified(self):
+        """(center, radius), or NoCenterError saying, from the status, why
+        there is none."""
+        if not self.found:
+            raise NoCenterError("no circumcenter exists under this polyhedral norm"
+                                if self.status == "none" else "no circumcenter found at tolerance")
+        return self.center, self.radius
 
 
 def _equidistance(norm, V, M):

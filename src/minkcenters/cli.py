@@ -6,7 +6,8 @@ Subcommands:
     figure   -- emit an SVG figure for a planar instance
 
 Exit codes: 0 success, 1 invalid input or usage error, 2 no circumcenter
-(none exists under a polyhedral norm, or the smooth solver found none).  The
+(none exists under a polyhedral norm, the smooth solver found none, or the
+--assume-center point is not one), from NoCenterError wherever raised.  The
 --tol flag sets the incidence tolerance eps_geom; it wins over an instance
 file's "tolerances", which wins over the default 1e-9.
 """
@@ -20,7 +21,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .centers import _report
-from .circumcenter import is_circumcenter, solve_circumcenter
+from .circumcenter import NoCenterError, is_circumcenter, solve_circumcenter
 from .figures import SHOW_MODES, render_figure
 from .instances import InstanceError, dump_report, load_instance, write_atomic
 from .norms import Tolerances, _in_range, _reals
@@ -96,25 +97,17 @@ def _simplex_report(inst, assume_center):
         M = _parse_point(assume_center, T.dim)
         R = is_circumcenter(inst.norm, T, M, tol)
         if R is None:
-            print("error: --assume-center point is not a circumcenter at tolerance",
-                  file=sys.stderr)
-            return None, EXIT_NO_CENTER
+            raise NoCenterError("--assume-center point is not a circumcenter at tolerance")
         diagnostics["solver"] = {"status": "assumed", "starts_used": 0}
     else:
         result = solve_circumcenter(inst.norm, T, tol)
         diagnostics["solver"] = {"status": result.status, "residual": result.residual,
                                  "starts_used": result.starts_used}
-        if result.status == "none":
-            print("error: no circumcenter exists under this polyhedral norm", file=sys.stderr)
-            return None, EXIT_NO_CENTER
-        if not result.found:
-            print("error: no circumcenter found at tolerance", file=sys.stderr)
-            return None, EXIT_NO_CENTER
-        M, R = result.center, result.radius
+        M, R = result.certified()
     body = asdict(_report(T, M, R, tol))
     residuals = body.pop("ratio_residuals")
     return {"instance": inst.raw, "kind": "simplex", "report": body,
-            "residuals": residuals, "diagnostics": diagnostics}, EXIT_OK
+            "residuals": residuals, "diagnostics": diagnostics}
 
 
 def _polygon_report(inst):
@@ -125,23 +118,23 @@ def _polygon_report(inst):
     residuals = {k: {"ok": ok, "residual": r}
                  for k, (ok, r) in _polygon_claims(P, rep, inst.tolerances).items()}
     return {"instance": inst.raw, "kind": "polygon", "report": body,
-            "residuals": residuals, "diagnostics": _diagnostics(inst)}, EXIT_OK
+            "residuals": residuals, "diagnostics": _diagnostics(inst)}
 
 
 def cmd_centers(args):
     inst = load_instance(args.instance, args.tol)
     if inst.kind == "simplex":
-        report, code = _simplex_report(inst, args.assume_center)
+        report = _simplex_report(inst, args.assume_center)
+    elif args.assume_center is not None:
+        raise ValueError("--assume-center applies to simplex instances only")
     else:
-        report, code = _polygon_report(inst)
-    if report is None:
-        return code
+        report = _polygon_report(inst)
     text = dump_report(report)
     if args.out:
         write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
-    return code
+    return EXIT_OK
 
 
 def cmd_verify(args):
@@ -189,9 +182,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_figure(args)
-    except ValueError as exc:  # InstanceError included
+    except ValueError as exc:  # InstanceError and NoCenterError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NO_CENTER if isinstance(exc, NoCenterError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

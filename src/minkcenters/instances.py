@@ -104,22 +104,19 @@ def _normalize(obj):
     return json.loads(json.dumps(obj))
 
 
-def _plain(x):
-    if isinstance(x, np.ndarray):
+def _numpy_json(x):
+    """json.dumps' hook: an array as nested lists, a numpy scalar as its
+    Python number."""
+    if isinstance(x, (np.ndarray, np.generic)):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def dump_report(report_obj):
     """Deterministic serialization: sorted keys, fixed layout, trailing newline.
     A non-finite number raises ValueError, since strict JSON has none."""
-    return json.dumps(_plain(report_obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report_obj, default=_numpy_json, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_atomic(path, text):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import Line
-from .centers import _vertex_deleted, euler_point
+from .centers import euler_point
 from .norms import DEFAULT_TOL, _in_range, _reals
+from .simplex import _facets
 
 __all__ = [
     "CyclicPolygon",
@@ -102,7 +103,7 @@ def subpolygon_family(P):
     """
     d = P.d
     M, V = P.M, P.vertices
-    sub = _vertex_deleted(V)
+    sub = V[_facets(d + 1)]
     P_M = euler_point(V, M, 1)
     C_M = euler_point(V, M, 2)
     F_M = euler_point(V, M, d)

@@ -54,34 +54,24 @@ def _rows_without(n, drop):
     return _read_only(np.nonzero(keep)[1].reshape(len(drop), -1))
 
 
-class _IndexTable:
-    """Index arrays of an n-vertex simplex, each built on first use (a
-    polygon reads only its facets) and read-only, as ``_indices`` shares one
-    table per n among all callers."""
-
-    def __init__(self, n):
-        self.n = n
-
-    @functools.cached_property
-    def edges(self):
-        """(C(n, 2), 2) vertex pairs in lexicographic order."""
-        return _read_only(np.transpose(np.triu_indices(self.n, 1)))
-
-    @functools.cached_property
-    def ridges(self):
-        """(C(n, 2), n-2): row e lists the vertices off edge e, in order."""
-        return _rows_without(self.n, self.edges)
-
-    @functools.cached_property
-    def facets(self):
-        """(n, n-1): row i lists the vertices other than i, in order."""
-        return _rows_without(self.n, np.arange(self.n)[:, None])
+# Index arrays of an n-vertex simplex: each is built on first use (a polygon
+# reads only its facets) and shared per n, so read-only.
+@functools.lru_cache(maxsize=32)
+def _edges(n):
+    """(C(n, 2), 2) vertex pairs of an n-vertex simplex in lexicographic order."""
+    return _read_only(np.transpose(np.triu_indices(n, 1)))
 
 
 @functools.lru_cache(maxsize=32)
-def _indices(n):
-    """The _IndexTable of n vertices."""
-    return _IndexTable(n)
+def _ridges(n):
+    """(C(n, 2), n-2): row e lists the vertices off edge e, in order."""
+    return _rows_without(n, _edges(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _facets(n):
+    """(n, n-1): row i lists the vertices other than i, in order."""
+    return _rows_without(n, np.arange(n)[:, None])
 
 
 def euclid_orthocenter(T, tol=DEFAULT_TOL):
@@ -95,7 +85,7 @@ def euclid_orthocenter(T, tol=DEFAULT_TOL):
     the Monge point.
     """
     n = T.dim + 1
-    edges = _indices(n).edges
+    edges = _edges(n)
     E = T.vertices[edges[:, 1]] - T.vertices[edges[:, 0]]
     disjoint = (edges[:, None, :, None] != edges[None, :, None, :]).all(axis=(2, 3))
     if not (np.abs(E @ E.T)[disjoint] <= tol.eps_geom * T.diameter ** 2).all():

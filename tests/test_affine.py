@@ -57,29 +57,47 @@ def test_hyperplane_unit_normal():
         Hyperplane((0, 1), (1, 0, 0))
 
 
+def test_batched_hyperplane_zero_normal_rejected():
+    bases, normals = np.zeros((2, 4, 3)), np.ones((2, 4, 3))
+    assert Hyperplane(bases, normals).normal().shape == (2, 4, 3)
+    for i in np.ndindex(2, 4):
+        zero = normals.copy()
+        zero[i] = 0.0
+        with pytest.raises(ValueError, match="normal must be nonzero"):
+            Hyperplane(bases, zero)
+
+
 def test_rows_check_the_whole_batch():
     bases, normals = np.zeros((4, 3)), np.ones((4, 3))
-    assert len(Line.rows(bases, normals)) == len(Hyperplane.rows(bases, normals)) == 4
+    assert len(Line(bases, normals).rows()) == len(Hyperplane(bases, normals).rows()) == 4
     for i in range(4):
         zero = normals.copy()
         zero[i] = 0.0
         with pytest.raises(ValueError, match="direction must be nonzero"):
-            Line.rows(bases, zero)
+            Line(bases, zero).rows()
         with pytest.raises(ValueError, match="normal must be nonzero"):
-            Hyperplane.rows(bases, zero)
+            Hyperplane(bases, zero).rows()
     for cls in (Line, Hyperplane):
         with pytest.raises(ValueError, match="one shape"):
-            cls.rows(bases, normals[:3])
+            cls(bases, normals[:3]).rows()
         with pytest.raises(ValueError, match="one shape"):
-            cls.rows(bases[0], normals[0])
+            cls(bases[0], normals[0]).rows()
+        with pytest.raises(ValueError, match="one shape"):
+            cls(bases[None], normals[None]).rows()
 
 
 def test_hyperplane_rows_match_single_hyperplanes():
     rng = np.random.default_rng(1)
     bases, normals = rng.normal(size=(2, 7, 5))
-    for h, b, n in zip(Hyperplane.rows(bases, normals), bases, normals):
+    for h, b, n in zip(Hyperplane(bases, normals).rows(), bases, normals):
         one = Hyperplane(b, n)
+        assert type(h) is Hyperplane
         assert np.array_equal(h.base, b) and np.array_equal(one.base, b)
         # each row divided by its vector norm, as a single hyperplane's normal is
         assert np.array_equal(h.normal(), n / np.linalg.norm(n))
         assert np.array_equal(one.normal(), n / np.linalg.norm(n))
+    for line, b, u in zip(Line(bases, normals).rows(), bases, normals):
+        one = Line(b, u)
+        assert type(line) is Line
+        assert line.base.tobytes() == one.base.tobytes() == b.tobytes()
+        assert line.direction.tobytes() == one.direction.tobytes() == u.tobytes()

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from minkcenters import (Hyperplane, Line, Norm, Simplex, euler_point, full_report,
-                         m_hyperplanes, monge_lines, monge_point, solve_circumcenter)
+from minkcenters import (Hyperplane, Line, NoCenterError, Norm, Simplex, euler_point,
+                         full_report, m_hyperplanes, monge_lines, monge_point,
+                         solve_circumcenter)
 from minkcenters.centers import _monge_pairs
 from minkcenters.norms import DEFAULT_TOL
-from minkcenters.simplex import _indices, euclid_orthocenter
+from minkcenters.simplex import _edges, _facets, _ridges, euclid_orthocenter
 from minkcenters.verify import (REL_TOL, random_orthocentric_simplex, random_simplex,
                                 simplex_claims)
 
@@ -95,8 +96,13 @@ class TestFeuerbach:
         assert len(rep.facet_centroids + rep.division_points) == 2 * (TRIRECT.dim + 1)
 
     def test_non_circumcenter_rejected(self):
-        with pytest.raises(ValueError, match="circumcenter"):
+        with pytest.raises(NoCenterError, match="not a circumcenter"):
             full_report(EUCL, TRIRECT, (0, 0, 0))
+
+    def test_no_center_says_why(self):
+        T = Simplex([[0.13, -0.13], [0.64, 0.1], [-0.54, 0.36]])
+        with pytest.raises(NoCenterError, match="no circumcenter exists"):
+            full_report(L1, T)
 
     def test_l1_unit_triangle(self):
         rep = full_report(L1, UNIT_TRIANGLE, (0, 0))
@@ -182,16 +188,17 @@ class TestRowsMatchPerRowReference:
                     assert plane.base.tobytes() == ref.base.tobytes()
                     assert np.abs(plane.normal() - ref.normal()).max() <= 1e-15
 
-    def test_index_table_is_read_only(self):
-        table = _indices(5)
-        assert _indices(5) is table
-        for rows in (table.edges, table.ridges, table.facets):
+    def test_index_arrays_are_read_only_and_shared(self):
+        for index in (_edges, _ridges, _facets):
+            rows = index(5)
+            assert index(5) is rows
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1
-        assert table.edges.tolist() == list(map(list, itertools.combinations(range(5), 2)))
-        assert all(set(ridge) | set(edge) == set(range(5))
-                   for ridge, edge in zip(table.ridges.tolist(), table.edges.tolist()))
-        assert table.facets.tolist() == [[j for j in range(5) if j != i] for i in range(5)]
+        edges, ridges = _edges(5).tolist(), _ridges(5).tolist()
+        assert edges == list(map(list, itertools.combinations(range(5), 2)))
+        assert all(sorted(ridge + edge) == list(range(5)) and ridge == sorted(ridge)
+                   for ridge, edge in zip(ridges, edges))
+        assert _facets(5).tolist() == [[j for j in range(5) if j != i] for i in range(5)]
 
 
 class TestMHyperplanes:

@@ -36,6 +36,13 @@ NO_CENTER_L1 = {
     "norm": {"kind": "lp", "p": 1},
     "problem": {"simplex": {"vertices": [[0.13, -0.13], [0.64, 0.1], [-0.54, 0.36]]}},
 }
+POLYGON_L1 = {
+    "norm": {"kind": "lp", "p": 1},
+    "problem": {"polygon": {
+        "vertices": [[1, 0], [0, 1], [-1, 0], [0.5, -0.5], [-0.2, -0.8]],
+        "center": [0, 0], "radius": 1.0,
+    }},
+}
 DEGENERATE = {
     "norm": {"kind": "euclidean"},
     "problem": {"simplex": {"vertices": [[0, 0], [1, 0], [2, 0]]}},
@@ -153,18 +160,19 @@ class TestCenters:
         assert proc.stderr == "error: general position violated\n"
 
     def test_polygon_report(self, tmp_path, capsys):
-        obj = {
-            "norm": {"kind": "lp", "p": 1},
-            "problem": {"polygon": {
-                "vertices": [[1, 0], [0, 1], [-1, 0], [0.5, -0.5], [-0.2, -0.8]],
-                "center": [0, 0], "radius": 1.0,
-            }},
-        }
-        inst = write_instance(tmp_path / "p.json", obj)
+        inst = write_instance(tmp_path / "p.json", POLYGON_L1)
         assert main(["centers", inst]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "polygon"
         assert all(v["ok"] for v in report["residuals"].values())
+
+    @pytest.mark.parametrize("point", ["5,5", "0,0", "1,2,3"])
+    def test_assume_center_on_polygon_invalid(self, tmp_path, capsys, point):
+        inst = write_instance(tmp_path / "p.json", POLYGON_L1)
+        assert main(["centers", inst, "--assume-center", point]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --assume-center applies to simplex instances only\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["centers", str(tmp_path / "nope.json")]) == EXIT_INVALID
@@ -385,6 +393,13 @@ class TestFigure:
         out = tmp_path / "f.svg"
         assert main(["figure", inst, "--out", str(out), "--width", width]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_center_exit_code(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "t.json", NO_CENTER_L1)
+        out = tmp_path / "f.svg"
+        assert main(["figure", inst, "--out", str(out)]) == EXIT_NO_CENTER
+        assert "error: no circumcenter exists" in capsys.readouterr().err
         assert not out.exists()
 
     def test_3d_instance_invalid(self, tmp_path, capsys):
