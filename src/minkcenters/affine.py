@@ -33,7 +33,7 @@ class _Batch:
         """One object per row of this batch of (m, d) arrays, built without
         re-running the checks the batch passed."""
         (k, a), (j, b) = vars(self).items()
-        if a.ndim != 2 or b.shape != a.shape:
+        if a.ndim != 2:  # both constructors check that b has a's shape
             raise ValueError("rows need (m, d) arrays of one shape")
         new, cls = object.__new__, type(self)
         rows = [new(cls) for _ in range(len(a))]
@@ -53,6 +53,8 @@ class Line(_Batch):
     def __post_init__(self):
         object.__setattr__(self, "base", _vec(self.base))
         object.__setattr__(self, "direction", _vec(self.direction))
+        if self.base.ndim == 0 or self.direction.shape != self.base.shape:
+            raise ValueError("base and direction must be arrays of one shape")
         if not (self.direction * self.direction).sum(axis=-1).all():
             raise ValueError("line direction must be nonzero")
 

@@ -9,9 +9,10 @@ whose facets are enumerated once at construction time).
 
 On top of plain evaluation, this module decides the two classical
 orthogonality relations of normed spaces (isosceles and Birkhoff).  Birkhoff
-orthogonality is read off the norm's subgradients (the supporting functionals
-of the unit ball): the gradient of a smooth norm, or the facet rows a
-polyhedral norm attains at x.  That makes it exact for both shapes.
+orthogonality is read off the supporting functionals of the unit ball at x:
+the gradient of a smooth norm, or the facet rows a polyhedral norm attains
+at x.  That makes it exact for both shapes, and l_1 reads its rows as the
+cross-polytope does, so it shares the d <= 7 limit of ``Norm.facets``.
 """
 
 from __future__ import annotations
@@ -142,9 +143,8 @@ class Norm:
         scale = np.abs(V).max()
         _in_range(V, "unit-ball vertex coordinates")
         # central symmetry: every vertex must have its antipode in the set
-        for v in V:
-            if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * scale:
-                raise ValueError("unit-ball vertex set is not centrally symmetric")
+        if cKDTree(V).query(-V)[0].max() > 1e-9 * scale:
+            raise ValueError("unit-ball vertex set is not centrally symmetric")
         try:
             hull = ConvexHull(V)
         except Exception as exc:
@@ -180,30 +180,6 @@ class Norm:
         if math.isinf(self.p):
             return np.max(np.abs(v), axis=-1)
         return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
-
-    def subgradients(self, x, eps):
-        """Extreme points of the subdifferential of the norm at x, as rows.
-
-        Each row g supports the unit ball at x: g.x = ||x|| and g.y <= ||y||
-        for every y.  A smooth norm has one, its gradient.  A polyhedral
-        norm has the facet rows F_f that come within eps*||x|| of attaining
-        the norm, F_f.x >= (1 - eps) ||x||; for l_1, the rows sign(x) with
-        the coordinates of ``_l1_free`` flipped every way.  x must be nonzero.
-        """
-        x = np.asarray(x, dtype=float)
-        nx = float(self(x))
-        if nx == 0.0:
-            raise ValueError("subgradients need a nonzero vector")
-        if self.smooth:
-            return self.gradient(x[None, :])
-        slack = eps * nx
-        if self.p == 1.0:
-            free = np.flatnonzero(_l1_free(x, slack))
-            F = np.tile(np.where(x < 0, -1.0, 1.0), (2 ** len(free), 1))
-            F[:, free] = list(itertools.product((1.0, -1.0), repeat=len(free)))
-            return F  # not facets(d), which builds all 2^d rows
-        F = self.facets(len(x))
-        return F[F @ x >= nx - slack]
 
     def gradient(self, X, norms=None):
         """Gradient sign(x) |x / ||x|| |^(p-1) of a smooth norm at each row of
@@ -274,15 +250,6 @@ class Norm:
         return "Norm.euclidean()"
 
 
-def _l1_free(x, slack):
-    """Coordinates where an l_1 subgradient may take either sign.  Flipping
-    x_k costs 2|x_k| of the norm; x_k is free when flipping it together with
-    every coordinate no larger costs at most slack, so that a sign row
-    flipped on any set of free coordinates comes within slack of ||x||."""
-    a = 2.0 * np.abs(x)
-    return np.where(a <= a[:, None], a, 0.0).sum(axis=1) <= slack
-
-
 def _check_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -307,11 +274,12 @@ def is_birkhoff_orthogonal(spec, x, y, tol=DEFAULT_TOL):
 
     By James' characterisation this holds iff some supporting functional g of
     the unit ball at x vanishes on y.  Those functionals are the convex hull
-    of the rows of spec.subgradients(x), so g.y sweeps [min G.y, max G.y] and
-    the predicate asks whether that interval meets [-eps ||y||, eps ||y||].
-    The test is linear and homogeneous in both x and y.  Under l_1 the
-    interval is sign(x).y over the fixed coordinates -+ sum |y_k| over the
-    free ones, so no row is built.
+    of rows G: the gradient of a smooth norm, or the facet rows F_f of a
+    polyhedral norm that come within eps_geom*||x|| of attaining the norm,
+    F_f.x >= ||x|| - eps_geom*||x||.  So g.y sweeps [min G.y, max G.y] and the
+    predicate asks whether that interval meets [-eps ||y||, eps ||y||].  The
+    test is linear and homogeneous in both x and y.  l_1 reads its 2^d sign
+    rows from ``Norm.facets``, so it is limited to d <= 7.
     """
     x, y = _check_pair(x, y)
     ny = spec(y)
@@ -320,14 +288,11 @@ def is_birkhoff_orthogonal(spec, x, y, tol=DEFAULT_TOL):
     nx = spec(x)
     if nx == 0.0:
         return True
-    if spec.p == 1.0:
-        free = _l1_free(x, tol.eps_geom * nx)
-        fixed = np.where(x < 0, -y, y)[~free].sum()
-        spread = np.abs(y[free]).sum()
-        lo, hi = fixed - spread, fixed + spread
+    if spec.smooth:
+        G = spec.gradient(x[None])
     else:
-        gy = spec.subgradients(x, tol.eps_geom) @ y
-        lo, hi = gy.min(), gy.max()
+        G = spec.facets(len(x))
+        G = G[G @ x >= nx - tol.eps_geom * nx]
+    gy = G @ y
     slack = tol.eps_geom * ny
-    return bool(lo <= slack and hi >= -slack)
-
+    return bool(gy.min() <= slack and gy.max() >= -slack)

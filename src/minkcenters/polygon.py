@@ -201,8 +201,11 @@ def sample_cyclic_polygon(norm, M, R, n_vertices, rng=None):
 
     Sorted random angles (at least 0.15 rad apart) give boundary
     directions; each vertex is M + R * u / ||u||, so the circumcircle property
-    holds by construction.
+    holds by construction.  Raises ValueError for fewer than 4 vertices, or
+    when 200 draws give no polygon in convex position with those gaps.
     """
+    if n_vertices < 4:
+        raise ValueError("a cyclic polygon needs at least 4 vertices (d >= 3)")
     rng = np.random.default_rng(rng)
     M = np.asarray(M, dtype=float)
     for _ in range(200):
@@ -216,4 +219,5 @@ def sample_cyclic_polygon(norm, M, R, n_vertices, rng=None):
             return CyclicPolygon(V, M, R, norm)
         except ValueError:
             continue
-    raise RuntimeError("failed to sample a cyclic polygon in convex position")
+    raise ValueError(f"no {n_vertices}-vertex cyclic polygon in convex position with angular "
+                     "gaps of at least 0.15 rad in 200 draws")

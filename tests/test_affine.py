@@ -9,6 +9,16 @@ def test_line_zero_direction_rejected():
         Line((1, 1), (0, 0))
 
 
+def test_line_shape_mismatch_rejected():
+    # as Hyperplane does, at construction rather than in distance
+    with pytest.raises(ValueError, match="one shape"):
+        Line((0, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="one shape"):
+        Line(np.zeros((4, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="one shape"):
+        Line(0.0, 1.0)
+
+
 def test_point_on_line():
     line = Line((0, 0, 0), (2, 2, 2))
     assert line.distance((1, 1, 1)) <= 1e-15

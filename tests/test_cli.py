@@ -338,6 +338,14 @@ class TestVerify:
         assert all(l.startswith("PASS polygon/")
                    for l in capsys.readouterr().out.strip().splitlines())
 
+    def test_polygon_sampler_failure_invalid(self, capsys):
+        # degree 11 (12 vertices) leaves no 0.15 rad gap in 200 draws at
+        # the eighth polygon of seed 0
+        code = main(["verify", "--suite", "polygon", "--dims", "11", "--trials", "40",
+                     "--seed", "0"])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: no 12-vertex cyclic polygon")
+
     def test_infinite_tol_invalid(self, capsys):
         # rejected by the input checker before any suite runs
         assert main(["verify", "--tol", "inf", "--trials", "2"]) == EXIT_INVALID

@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -139,9 +138,15 @@ class TestGradient:
         assert np.array_equal(norm.gradient(X, norm(X)), norm.gradient(X))
 
     def test_subgradients_read_the_gradient(self):
+        # a smooth norm's one subgradient at x is its gradient g: Birkhoff
+        # holds on g's kernel and fails along g
         x = np.array([0.3, -1.2, 2.0])
         for norm in (Norm.lp(1.5), Norm.lp(3), Norm.euclidean()):
-            assert np.array_equal(norm.subgradients(x, TOL.eps_geom), norm.gradient(x[None]))
+            g = norm.gradient(x[None])[0]
+            kernel = np.cross(g, (1.0, 0.0, 0.0))
+            assert is_birkhoff_orthogonal(norm, x, kernel)
+            assert not is_birkhoff_orthogonal(norm, x, kernel + 1e-6 * g)
+            assert not is_birkhoff_orthogonal(norm, x, g)
 
     @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(math.inf),
                                       Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])])
@@ -154,13 +159,9 @@ CROSS = Norm.polyhedral([(1, 0), (-1, 0), (0, 1), (0, -1)])
 SQUARE = Norm.polyhedral([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
 
-def row_set(G):
-    return G[np.lexsort(G.T[::-1])]
-
-
 class TestTwoShapes:
-    """l_1 and l_inf read their subgradients from facet rows as polytope
-    norms do, and the Euclidean norm is l_2."""
+    """l_1 and l_inf answer as their polytopes do, and the Euclidean norm is
+    l_2."""
 
     # x within a few eps_geom of a kink of the unit ball, where the active
     # rows depend on the tolerance
@@ -172,10 +173,9 @@ class TestTwoShapes:
     @pytest.mark.parametrize("norm, polytope", [(Norm.lp(1), CROSS), (Norm.lp(math.inf), SQUARE)],
                              ids=["l1", "linf"])
     def test_lp_matches_its_polytope(self, norm, polytope, x, y):
-        G, H = norm.subgradients(x, TOL.eps_geom), polytope.subgradients(x, TOL.eps_geom)
-        assert G.shape == H.shape
-        assert np.allclose(row_set(G), row_set(H), atol=1e-12)
-        assert is_birkhoff_orthogonal(norm, x, y) == is_birkhoff_orthogonal(polytope, x, y)
+        for u, v in ((x, y), (y, x), (x, np.add(x, y))):
+            assert is_birkhoff_orthogonal(norm, u, v) == is_birkhoff_orthogonal(polytope, u, v)
+            assert is_isosceles_orthogonal(norm, u, v) == is_isosceles_orthogonal(polytope, u, v)
 
     def test_euclidean_is_l2(self):
         eucl, l2 = Norm.euclidean(), Norm.lp(2)
@@ -185,24 +185,19 @@ class TestTwoShapes:
         assert np.array_equal(eucl(X), l2(X))
         assert all(eucl(x) == l2(x) for x in X)
         assert np.array_equal(eucl.gradient(X), l2.gradient(X))
-        eps = TOL.eps_geom
-        assert all(np.array_equal(eucl.subgradients(x, eps), l2.subgradients(x, eps))
-                   for x in X[:20])
+        # y within a few eps_geom of x's orthogonal complement, where both
+        # answers occur
+        Y = X[20:40] - (np.vecdot(X[20:40], X[:20]) / np.vecdot(X[:20], X[:20]))[:, None] * X[:20]
+        Y += np.linspace(-3, 3, 20)[:, None] * TOL.eps_geom * X[:20]
+        answers = [is_birkhoff_orthogonal(eucl, x, y) for x, y in zip(X[:20], Y)]
+        assert answers == [is_birkhoff_orthogonal(l2, x, y) for x, y in zip(X[:20], Y)]
+        assert set(answers) == {True, False}
         T = random_simplex(4, np.random.default_rng(4))
         assert np.array_equal(solve_circumcenter(eucl, T).center, solve_circumcenter(l2, T).center)
 
     def test_records_keep_their_kind(self):
         assert Norm.euclidean().to_json() == {"kind": "euclidean"}
         assert Norm.lp(2).to_json() == {"kind": "lp", "p": 2.0}
-
-    def test_l1_subgradients_beyond_facet_cap(self):
-        # facets(d) stops at d = 7, but only the 2^9 sign choices on the nine
-        # near-zero coordinates can be active
-        x = np.array([1.0] + [3e-11] * 9)
-        G = Norm.lp(1).subgradients(x, TOL.eps_geom)
-        assert G.shape == (512, 10)
-        assert np.all(G[:, 0] == 1.0)
-        assert len(np.unique(G, axis=0)) == 512
 
 
 class TestIsosceles:
@@ -250,34 +245,55 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             is_birkhoff_orthogonal(Norm.euclidean(), (1, 0), (0, 0))
 
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_l1_closed_form_matches_enumerated_rows(self, d):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_l1_matches_cross_polytope(self, d):
         # x has zeros and coordinates near eps ||x|| / 2, whose flips may
         # not fit into the slack together; both answers occur
         rng = np.random.default_rng(d)
         l1, eps = Norm.lp(1), TOL.eps_geom
+        cross = Norm.polyhedral(np.vstack([np.eye(d), -np.eye(d)]))
         answers = set()
-        for _ in range(200):
+        for _ in range(2000):
             x, y = rng.normal(size=(2, d))
             k = rng.choice(d, size=rng.integers(1, d), replace=False)
             x[k] = rng.choice([0.0, 0.1, 0.3, 0.45, 0.55], size=len(k)) * eps * l1(x)
             x[k] *= rng.choice([-1.0, 1.0], size=len(k))
-            G = l1.subgradients(x, eps)
-            assert (G @ x >= (1 - eps) * l1(x)).all()
-            gy = G @ y
-            expected = bool(gy.min() <= eps * l1(y) and gy.max() >= -eps * l1(y))
-            assert is_birkhoff_orthogonal(l1, x, y) == expected
-            answers.add(expected)
+            answer = is_birkhoff_orthogonal(l1, x, y)
+            assert answer == is_birkhoff_orthogonal(cross, x, y), (x, y)
+            answers.add(answer)
         assert answers == {True, False}
 
-    def test_l1_builds_no_rows(self, monkeypatch):
-        # e_1 at d = 18 has 17 free coordinates, 2^17 sign rows
-        x, y = np.eye(18)[0], np.random.default_rng(0).normal(size=18)
-        monkeypatch.setattr(Norm, "subgradients", None)
-        start = time.perf_counter()
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_linf_matches_cube(self, d):
+        # x has coordinates within a few eps ||x|| of the largest, so rows
+        # near the kink come and go with the slack; both answers occur
+        rng = np.random.default_rng(d)
+        linf, eps = Norm.lp(math.inf), TOL.eps_geom
+        cube = Norm.polyhedral(list(itertools.product((1.0, -1.0), repeat=d)))
+        answers = set()
+        for _ in range(2000):
+            x, y = rng.normal(size=(2, d))
+            k = rng.choice(d, size=rng.integers(1, d), replace=False)
+            gap = rng.choice([0.0, 0.3, 0.7, 1.3, 2.0], size=len(k)) * eps
+            x[k] = rng.choice([-1.0, 1.0], size=len(k)) * (1.0 - gap) * linf(x)
+            answer = is_birkhoff_orthogonal(linf, x, y)
+            assert answer == is_birkhoff_orthogonal(cube, x, y), (x, y)
+            answers.add(answer)
+        assert answers == {True, False}
+
+    def test_l1_near_kink_example(self):
+        # the cross-polytope's rows within eps ||x|| of the norm include
+        # (1, 1, -1), which vanishes on y; l_1 reads the same rows
+        x, y = (1, 3e-10, 4e-10), (0, 0.5, 1)
+        cross = Norm.polyhedral(np.vstack([np.eye(3), -np.eye(3)]))
         assert is_birkhoff_orthogonal(Norm.lp(1), x, y)
-        assert not is_birkhoff_orthogonal(Norm.lp(1), x, x + 0.01 * y)
-        assert time.perf_counter() - start < 0.05
+        assert is_birkhoff_orthogonal(cross, x, y)
+
+    def test_l1_beyond_facet_cap_raises(self):
+        # l_1 reads its 2^d sign rows, which stop at d = 7
+        x = np.eye(8)[0]
+        with pytest.raises(ValueError, match="d <= 7"):
+            is_birkhoff_orthogonal(Norm.lp(1), x, np.eye(8)[1])
 
     @settings(max_examples=30, deadline=None)
     @given(vectors(2, -5, 5), vectors(2, -5, 5),

@@ -174,6 +174,17 @@ def test_random_polygons_all_norms():
             assert residual <= 1e-8 * P.R, (claim, residual)
 
 
+def test_sampler_rejects_too_few_vertices():
+    with pytest.raises(ValueError, match="at least 4 vertices"):
+        sample_cyclic_polygon(EUCL, (0, 0), 1.0, 3, rng=0)
+
+
+def test_sampler_gives_up_with_a_value_error():
+    # 2 pi / 0.15 < 42, so 42 angles always leave a gap below 0.15 rad
+    with pytest.raises(ValueError, match="42-vertex .* 0.15 rad in 200 draws"):
+        sample_cyclic_polygon(EUCL, (0, 0), 1.0, 42, rng=0)
+
+
 def test_suite_polygon_fails_exactly_the_flagged_claims(monkeypatch):
     # the ok flag is the one verdict: a residual never overrules it
     flags = {"flagged": (False, 0.0), "clean": (True, 5e-8)}
